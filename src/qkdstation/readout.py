@@ -347,6 +347,13 @@ def read_timetag_file(path) -> tuple[TimeTagHeader, np.ndarray, np.ndarray | Non
                 offset=len(raw),
             )
         widths = np.frombuffer(raw, dtype="<f8", count=need, offset=cal_offset)
+        bad = np.flatnonzero(~np.isfinite(widths) | (widths < 0))
+        if bad.size:
+            raise FileFormatError(
+                f"calibration width {widths[bad[0]]} is not a finite "
+                "nonnegative number",
+                offset=cal_offset + 8 * int(bad[0]),
+            )
         widths = widths.reshape(n_channels, n_taps)
     header = TimeTagHeader(
         clock_period=clock_period,

@@ -51,6 +51,7 @@ from .tdc import (
     build_delay_line,
     digitize_stream,
     gate_dead_time,
+    reconstruct_stream,
 )
 
 # Wire convention: detector d lands on TDC channel d (Z0,Z1,X0,X1 on 0..3,
@@ -213,6 +214,11 @@ def analyze_files(
             f"record names channel {int(channel.max())} but the header "
             f"declares only {header.n_channels} channels"
         )
+    if fine.size and int(fine.max()) > header.n_taps:
+        raise FileFormatError(
+            f"record holds fine code {int(fine.max())} but the header "
+            f"declares only {header.n_taps} taps"
+        )
 
     sync_times = np.empty(0)
     data_times, data_dets = [], []
@@ -220,10 +226,7 @@ def analyze_files(
         mask = channel == c
         table = cal.table_from_widths(int(c), width_block[int(c)], tdc_cfg)
         unwrapped = readout.unwrap_coarse(coarse[mask])
-        ts = (
-            unwrapped * tdc_cfg.clock_period
-            - table.bin_centers[fine[mask]]
-        )
+        ts = reconstruct_stream(unwrapped, fine[mask], table, tdc_cfg)
         if int(c) == SYNC_CHANNEL:
             sync_times = ts
         elif int(c) < SYNC_CHANNEL:

@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 from qkdstation.calibration import (
+    GRID_CELLS_PER_TAP,
+    GRID_MAX_CELLS,
+    STIMULUS_CHUNK,
+    _grid_lookup,
     calibrate_from_stimulus,
     code_density_calibrate,
     decorrelation_cable_delay,
@@ -14,8 +18,10 @@ from qkdstation.calibration import (
     uniform_phase_histogram,
     write_calibration_csv,
 )
+from qkdstation.config import reference_config
 from qkdstation.errors import CalibrationError, ConfigError
 from qkdstation.seeding import derive_rng
+from qkdstation.session import build_profiles
 from qkdstation.tdc import (
     ChannelState,
     TdcConfig,
@@ -193,3 +199,71 @@ def test_stimulus_histogram_covers_all_codes():
     hist = uniform_phase_histogram(p, 1_000_000, derive_rng(0, "x"))
     assert hist[: cfg.n_taps].min() > 0
     assert hist[cfg.n_taps] == 0  # jitter-free stimulus never tops out
+
+
+def _a04_line(cfg):
+    # the extreme-DNL line of acceptance test a04: -0.97 and +3 LSB taps
+    rng = np.random.default_rng(4)
+    dev = rng.uniform(-0.4, 0.4, cfg.n_taps)
+    dev[17], dev[40], dev[99], dev[200] = -0.97, +3.0, -0.8, +2.0
+    return build_delay_line(cfg, dev * cfg.nominal_tap)
+
+
+def _shares_a_cell(profile, n_cells):
+    cells = (profile.boundaries * (n_cells / profile.period)).astype(np.intp)
+    return bool(np.any(np.diff(cells) == 0))
+
+
+def _oracle_profiles():
+    cfg = TdcConfig()
+    near_dead = {5: 1e-6 - cfg.nominal_tap}  # a 1e-6 ps tap: no grid splits it
+    profiles = {
+        f"reference-ch{p.channel}": p for p in build_profiles(reference_config())
+    }
+    profiles["uniform"] = build_delay_line(cfg)
+    profiles["random"] = build_delay_line(cfg, "random:-0.9:0.9", seed=11)
+    profiles["a04"] = _a04_line(cfg)
+    profiles["near-dead"] = build_delay_line(cfg, near_dead)
+    return profiles
+
+
+ORACLE_PROFILES = _oracle_profiles()
+ORACLE_SIZES = sorted(
+    {0, 1, 2**16 - 1, 2**16, 2**16 + 1, 1_000_000}
+    | {STIMULUS_CHUNK - 1, STIMULUS_CHUNK, STIMULUS_CHUNK + 1}
+)
+
+
+@pytest.mark.parametrize("name", list(ORACLE_PROFILES))
+def test_stimulus_histogram_matches_searchsorted_oracle(name):
+    profile = ORACLE_PROFILES[name]
+    for n in ORACLE_SIZES:
+        hist = uniform_phase_histogram(profile, n, derive_rng(5, "oracle", name))
+        rng = derive_rng(5, "oracle", name)
+        deltas = rng.random(n) * profile.period
+        codes = np.searchsorted(profile.boundaries, deltas, side="right")
+        oracle = np.bincount(codes, minlength=profile.n_taps + 1)
+        assert hist.dtype == oracle.dtype
+        np.testing.assert_array_equal(hist, oracle, err_msg=f"n={n}")
+
+
+def test_oracle_fixtures_reach_grid_doubling_and_fallback():
+    start = GRID_CELLS_PER_TAP * TdcConfig().n_taps
+    assert not _shares_a_cell(ORACLE_PROFILES["uniform"], start)
+    assert _shares_a_cell(ORACLE_PROFILES["a04"], start)  # the grid must double
+    assert not _shares_a_cell(ORACLE_PROFILES["a04"], GRID_MAX_CELLS)
+    assert _shares_a_cell(ORACLE_PROFILES["near-dead"], GRID_MAX_CELLS)  # bisection
+
+
+@pytest.mark.parametrize("name", list(ORACLE_PROFILES))
+def test_grid_lookup_exact_on_and_beside_every_boundary(name):
+    # random phases almost never hit a boundary; probe each one exactly
+    profile = ORACLE_PROFILES[name]
+    b = profile.boundaries
+    lookup = _grid_lookup(b)
+    if name == "near-dead":
+        assert lookup is None  # uniform_phase_histogram bisects instead
+        return
+    x = np.concatenate(([0.0], b, np.nextafter(b, 0.0), np.nextafter(b, np.inf)))
+    x = x[x <= profile.period]
+    np.testing.assert_array_equal(lookup(x), np.searchsorted(b, x, side="right"))

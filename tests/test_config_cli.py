@@ -1,5 +1,6 @@
 import csv
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from qkdstation.cli import main
 from qkdstation.config import load_config, reference_config
 from qkdstation.errors import ConfigError
+from qkdstation.readout import FINE_BITS, HEADER_SIZE, read_timetag_file
 
 SMALL_CONFIG = """
 [tdc]
@@ -294,6 +296,33 @@ class TestCliRunAnalyze:
         raw = (out / "session.qtt").read_bytes()
         bad = tmp_path / "trunc.qtt"
         bad.write_bytes(raw[: len(raw) // 2])
+        assert main(["analyze", str(bad), str(out / "alice.qac")]) == 2
+
+    @pytest.mark.parametrize(
+        "channel,value", [(4, np.nan), (0, np.nan), (1, np.inf), (2, -1.0)]
+    )
+    def test_bad_calibration_width_exit_2(self, small_config, tmp_path, channel, value):
+        # channel 4 is the sync channel, 0..3 the data channels
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(small_config), "--output", str(out)]) == 0
+        header, _, _ = read_timetag_file(out / "session.qtt")
+        raw = bytearray((out / "session.qtt").read_bytes())
+        at = header.calibration_offset + 8 * (channel * header.n_taps + 7)
+        raw[at : at + 8] = struct.pack("<d", value)
+        bad = tmp_path / "bad.qtt"
+        bad.write_bytes(bytes(raw))
+        assert main(["analyze", str(bad), str(out / "alice.qac")]) == 2
+
+    def test_fine_code_out_of_range_exit_2(self, small_config, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(small_config), "--output", str(out)]) == 0
+        raw = bytearray((out / "session.qtt").read_bytes())
+        at = HEADER_SIZE + 8 * 10
+        word = int.from_bytes(raw[at : at + 8], "little")
+        word = (word & ~((1 << FINE_BITS) - 1)) | 500
+        raw[at : at + 8] = word.to_bytes(8, "little")
+        bad = tmp_path / "bad.qtt"
+        bad.write_bytes(bytes(raw))
         assert main(["analyze", str(bad), str(out / "alice.qac")]) == 2
 
     def test_negative_offset_session(self, small_config, tmp_path):
