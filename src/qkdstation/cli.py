@@ -161,7 +161,14 @@ def cmd_run(args) -> int:
 def cmd_analyze(args) -> int:
     windows = None
     if args.windows:
-        windows = [float(w) for w in args.windows.split(",")]
+        windows = []
+        for item in args.windows.split(","):
+            try:
+                windows.append(float(item))
+            except ValueError:
+                raise ConfigError(
+                    f"--windows item {item!r} is not a number"
+                ) from None
     out = Path(args.output or "out")
     out.mkdir(parents=True, exist_ok=True)
     pairs_out = out / "matched_pairs.csv" if args.dump_pairs else None

@@ -39,7 +39,7 @@ from .sift import (
     ClockEstimate,
     SiftReport,
     format_summary,
-    match_pulses,
+    match_slots,
     recover_clock,
     window_scan,
     write_sift_csv,
@@ -152,7 +152,6 @@ def digitize_detections(
     rollover parity) in global time order, ready for packing.
     """
     times, chans, coarses, fines, rolls = [], [], [], [], []
-    modulus = cfg.tdc.coarse_modulus
     for c in range(cfg.tdc.n_channels):
         # hits landing before the counter epoch (possible with a negative
         # clock offset) never reach the digitizer
@@ -165,13 +164,11 @@ def digitize_detections(
         batch = digitize_stream(t, profiles[c], state, cfg.tdc, rng)
         if batch.n == 0:
             continue
-        accepted_t = t[batch.accepted_index]
-        edge = np.ceil(accepted_t / cfg.tdc.clock_period).astype(np.int64)
-        times.append(accepted_t)
+        times.append(t[batch.accepted_index])
         chans.append(np.full(batch.n, c, dtype=np.int64))
         coarses.append(batch.coarse)
         fines.append(batch.fine)
-        rolls.append((edge // modulus) % 2)
+        rolls.append(batch.rollover)
     if not times:
         empty = np.empty(0, dtype=np.int64)
         return np.empty(0), empty, empty.copy(), empty.copy(), empty.copy()
@@ -259,11 +256,12 @@ def analyze_files(
 
 
 def _dump_matched_pairs(path, times, detectors, clock, pulse_period, n_slots, windows):
+    winners = match_slots(times, detectors, clock, pulse_period, windows[-1], n_slots)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["window_ps", "pulse_index", "detector", "residual_ps"])
         for w in windows:
-            m = match_pulses(times, detectors, clock, pulse_period, w, n_slots)
+            m = winners.at(w)
             for i in range(m.n):
                 writer.writerow(
                     [

@@ -181,6 +181,89 @@ def recover_clock(
     )
 
 
+def _check_window(window: float, pulse_period: float) -> None:
+    if not 0 < window < pulse_period / 2:
+        raise ConfigError(
+            f"window {window} ps must lie in (0, pulse_period/2 = {pulse_period / 2})"
+        )
+
+
+@dataclass(frozen=True)
+class SlotWinners:
+    """The best detection of every pulse slot within the widest window.
+
+    Built by :func:`match_slots` with one sort. Within a slot the sort
+    puts the smallest |residual| first, so at any narrower window a slot
+    keeps that same winner if it still fits, or nothing: :meth:`at`
+    selects a window's match without matching again.
+    """
+
+    pulse_index: np.ndarray
+    detector: np.ndarray
+    residual: np.ndarray  # ps
+    candidate_abs: np.ndarray  # sorted |residual| of every in-range candidate
+    pulse_period: float
+    n_slots: int
+    n_input: int
+
+    def at(self, window: float) -> MatchResult:
+        """The match at ``window``, no wider than the one built for."""
+        half = window / 2
+        keep = np.abs(self.residual) <= half
+        n_candidates = int(np.searchsorted(self.candidate_abs, half, side="right"))
+        n_kept = int(np.count_nonzero(keep))
+        return MatchResult(
+            pulse_index=self.pulse_index[keep],
+            detector=self.detector[keep],
+            residual=self.residual[keep],
+            window=window,
+            pulse_period=self.pulse_period,
+            n_slots=self.n_slots,
+            n_input=self.n_input,
+            multi_slot_dropped=n_candidates - n_kept,
+        )
+
+
+def match_slots(
+    times: np.ndarray,
+    detectors: np.ndarray,
+    clock: ClockEstimate,
+    pulse_period: float,
+    widest: float,
+    n_slots: int,
+) -> SlotWinners:
+    """Map detections to Alice's pulse slots and pick each slot's winner
+    among those within ``widest``; ties break on earlier time, then lower
+    detector id, so the result is independent of input ordering.
+    """
+    _check_window(widest, pulse_period)
+    t = np.asarray(times, dtype=float)
+    det = np.asarray(detectors, dtype=np.uint8)
+    u = clock.to_sender(t)
+    slot = np.round(u / pulse_period).astype(np.int64)
+    residual = u - slot * pulse_period
+    inside = (np.abs(residual) <= widest / 2) & (slot >= 0) & (slot < n_slots)
+
+    slot, residual = slot[inside], residual[inside]
+    det_in, t_in = det[inside], t[inside]
+    abs_res = np.abs(residual)
+    order = np.lexsort((det_in, t_in, abs_res, slot))
+    slot, residual = slot[order], residual[order]
+    det_in = det_in[order]
+    first = np.ones(slot.size, dtype=bool)
+    first[1:] = slot[1:] != slot[:-1]
+
+    return SlotWinners(
+        pulse_index=slot[first],
+        detector=det_in[first],
+        residual=residual[first],
+        candidate_abs=np.sort(abs_res),
+        pulse_period=pulse_period,
+        n_slots=n_slots,
+        n_input=int(t.size),
+    )
+
+
 def match_pulses(
     times: np.ndarray,
     detectors: np.ndarray,
@@ -196,35 +279,8 @@ def match_pulses(
     |residual| survives (ties break on earlier time, then lower detector
     id), so the result is independent of input ordering.
     """
-    if not 0 < window < pulse_period / 2:
-        raise ConfigError(
-            f"window {window} ps must lie in (0, pulse_period/2 = {pulse_period / 2})"
-        )
-    t = np.asarray(times, dtype=float)
-    det = np.asarray(detectors, dtype=np.uint8)
-    u = clock.to_sender(t)
-    slot = np.round(u / pulse_period).astype(np.int64)
-    residual = u - slot * pulse_period
-    inside = (np.abs(residual) <= window / 2) & (slot >= 0) & (slot < n_slots)
-
-    slot, residual = slot[inside], residual[inside]
-    det_in, t_in = det[inside], t[inside]
-    order = np.lexsort((det_in, t_in, np.abs(residual), slot))
-    slot, residual = slot[order], residual[order]
-    det_in = det_in[order]
-    first = np.ones(slot.size, dtype=bool)
-    first[1:] = slot[1:] != slot[:-1]
-
-    return MatchResult(
-        pulse_index=slot[first],
-        detector=det_in[first],
-        residual=residual[first],
-        window=window,
-        pulse_period=pulse_period,
-        n_slots=n_slots,
-        n_input=int(t.size),
-        multi_slot_dropped=int(slot.size - np.sum(first)),
-    )
+    winners = match_slots(times, detectors, clock, pulse_period, window, n_slots)
+    return winners.at(window)
 
 
 def binary_entropy(x: float) -> float:
@@ -310,18 +366,21 @@ def window_scan(
 
     Windows must be ascending; wider windows admit a superset of the
     matched pairs, so matched counts are nondecreasing while background
-    admission (and with it the expected QBER) grows.
+    admission (and with it the expected QBER) grows. Every window reads
+    one shared match built for the widest.
     """
     w = [float(x) for x in windows]
     if not w:
         raise ConfigError("need at least one window")
     if any(b <= a for a, b in zip(w, w[1:])):
         raise ConfigError("windows must be strictly ascending")
+    for window in w:
+        _check_window(window, pulse_period)
+    winners = match_slots(times, detectors, clock, pulse_period, w[-1], alice.n)
     reports = []
     for i, window in enumerate(w):
-        match = match_pulses(times, detectors, clock, pulse_period, window, alice.n)
         rng = derive_rng(seed, "disclose", f"w{i}")
-        reports.append(sift(match, alice, disclose_fraction, rng, f_ec))
+        reports.append(sift(winners.at(window), alice, disclose_fraction, rng, f_ec))
     return reports
 
 

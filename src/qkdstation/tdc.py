@@ -150,13 +150,16 @@ class RecordBatch:
     """Accepted records of one channel's digitized stream.
 
     ``accepted_index`` maps each record back to its position in the input
-    time array (rejected hits leave gaps).
+    time array (rejected hits leave gaps). ``rollover`` is the parity of
+    the coarse counter's wraps at each record, the bit the wire format
+    carries beside the coarse field.
     """
 
     channel: int
     coarse: np.ndarray
     fine: np.ndarray
     accepted_index: np.ndarray
+    rollover: np.ndarray
 
     @property
     def n(self) -> int:
@@ -374,7 +377,9 @@ def digitize_stream(
     if not state.enabled:
         state.rejected_disabled += t.size
         empty = np.empty(0, dtype=np.int64)
-        return RecordBatch(profile.channel, empty, empty.copy(), empty.copy())
+        return RecordBatch(
+            profile.channel, empty, empty.copy(), empty.copy(), empty.copy()
+        )
     keep, last = gate_dead_time(t, config.dead_time, state.last_accept_time)
     kept = t[keep]
     state.rejected_dead_time += int(t.size - kept.size)
@@ -393,6 +398,7 @@ def digitize_stream(
         coarse=coarse,
         fine=fine,
         accepted_index=np.flatnonzero(keep).astype(np.int64),
+        rollover=(edge // config.coarse_modulus) % 2,
     )
 
 

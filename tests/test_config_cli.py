@@ -4,7 +4,9 @@ import struct
 
 import numpy as np
 import pytest
+from match_oracle import write_reference_pairs
 
+from qkdstation import session
 from qkdstation.cli import main
 from qkdstation.config import load_config, reference_config
 from qkdstation.errors import ConfigError
@@ -289,6 +291,55 @@ class TestCliRunAnalyze:
             report = next(csv.DictReader(fh))
         assert len(rows) == int(report["matched"])
         assert all(abs(float(r["residual_ps"])) <= 500.0 for r in rows)
+
+    def test_dump_pairs_match_per_window_oracle(self, small_config, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(small_config), "--output", str(out)]) == 0
+        scan_args = []
+        real_scan = session.window_scan
+
+        def spy(*args, **kwargs):
+            scan_args.extend(args)
+            return real_scan(*args, **kwargs)
+
+        monkeypatch.setattr(session, "window_scan", spy)
+        dense = ",".join(str(w) for w in range(250, 5000, 250))
+        out2 = tmp_path / "dump"
+        assert main(
+            [
+                "analyze",
+                str(out / "session.qtt"),
+                str(out / "alice.qac"),
+                "--windows",
+                dense,
+                "--dump-pairs",
+                "--output",
+                str(out2),
+            ]
+        ) == 0
+        times, dets, clock, pulse_period, alice, windows = scan_args
+        assert len(windows) == 19
+        oracle = tmp_path / "oracle.csv"
+        write_reference_pairs(oracle, times, dets, clock, pulse_period, alice.n, windows)
+        assert (out2 / "matched_pairs.csv").read_bytes() == oracle.read_bytes()
+
+    @pytest.mark.parametrize(
+        "windows,named",
+        [
+            ("abc", "'abc'"),
+            ("1000,,2000", "''"),
+            ("1000,nan", "window nan"),
+            ("1000,inf", "window inf"),
+        ],
+    )
+    def test_bad_windows_exit_2(self, small_config, tmp_path, capsys, windows, named):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(small_config), "--output", str(out)]) == 0
+        capsys.readouterr()
+        args = ["analyze", str(out / "session.qtt"), str(out / "alice.qac")]
+        assert main(args + ["--windows", windows, "--output", str(tmp_path / "a")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
 
     def test_truncated_timetag_exit_2(self, small_config, tmp_path):
         out = tmp_path / "out"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from match_oracle import assert_same_match, reference_match_pulses, reference_window_scan
 
 from qkdstation.errors import ConfigError, SyncRecoveryError
 from qkdstation.qkd import AliceBlock, ClockModel, emit_sync, gen_random_code
@@ -8,6 +9,7 @@ from qkdstation.sift import (
     MatchResult,
     binary_entropy,
     match_pulses,
+    match_slots,
     recover_clock,
     secure_rate,
     sift,
@@ -15,6 +17,11 @@ from qkdstation.sift import (
 )
 
 IDENTITY = ClockEstimate(offset_hat=0.0, drift_hat_ppm=0.0, residual_rms=0.0, n_sync_used=2)
+DRIFTING = ClockEstimate(
+    offset_hat=1234.5, drift_hat_ppm=-3.0, residual_rms=0.0, n_sync_used=2
+)
+# the benchmark's dense scan: 250..4750 ps in 250 ps steps
+DENSE_WINDOWS = tuple(float(w) for w in range(250, 5000, 250))
 
 
 def make_clock(offset=0.0, drift_ppm=0.0):
@@ -286,3 +293,82 @@ class TestClockMatchConsistency:
         m = match_pulses(times, np.zeros(n, np.uint8), est, 10_000.0, 1000.0, n)
         assert m.n == n
         assert abs(float(np.mean(m.residual))) < 1.0
+
+
+def match_fixture(seed, n_slots=200, period=10_000.0):
+    """Detections crowded several to a slot, some slots outside
+    [0, n_slots), a fifth of the residuals exactly at +-w/2 of a dense
+    window, and a tenth of the times exact duplicates of others."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 3000))
+    slot = rng.integers(-5, n_slots + 5, n)
+    offset = rng.uniform(-0.49 * period, 0.49 * period, n)
+    tie = rng.random(n) < 0.2
+    halves = np.array(DENSE_WINDOWS) / 2
+    offset[tie] = rng.choice(halves, tie.sum()) * rng.choice([-1.0, 1.0], tie.sum())
+    times = slot * period + offset
+    dup = rng.random(n) < 0.1
+    times[dup] = times[rng.integers(0, n, dup.sum())]
+    dets = rng.integers(0, 4, n).astype(np.uint8)
+    return times, dets
+
+
+class TestOneSortMatchOracle:
+    """The one-sort match agrees with a per-window match at every window."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("clock", [IDENTITY, DRIFTING], ids=["identity", "drifting"])
+    def test_dense_windows_equal_per_window_match(self, seed, clock):
+        times, dets = match_fixture(seed)
+        winners = match_slots(times, dets, clock, 10_000.0, DENSE_WINDOWS[-1], 200)
+        for w in DENSE_WINDOWS:
+            want = reference_match_pulses(times, dets, clock, 10_000.0, w, 200)
+            assert_same_match(winners.at(w), want)
+            assert_same_match(match_pulses(times, dets, clock, 10_000.0, w, 200), want)
+
+    def test_fixtures_reach_ties_duplicates_and_crowding(self):
+        times, dets = match_fixture(0)
+        want = reference_match_pulses(times, dets, IDENTITY, 10_000.0, 1000.0, 200)
+        assert np.any(np.abs(want.residual) == 500.0)
+        assert want.multi_slot_dropped > 0
+        assert np.unique(times).size < times.size
+        slot = np.round(times / 10_000.0)
+        assert np.any(slot < 0) and np.any(slot >= 200)
+
+    def test_tie_at_half_window_is_kept(self):
+        # residuals exactly +-w/2 are inside; the losing candidate on the
+        # boundary still counts as dropped
+        times = np.array([500.0, 10_000.0 - 500.0, 10_000.0 + 100.0, 20_000.0 + 501.0])
+        dets = np.array([0, 1, 2, 3], dtype=np.uint8)
+        winners = match_slots(times, dets, IDENTITY, 10_000.0, 1002.0, 5)
+        for w in (1000.0, 1002.0):
+            want = reference_match_pulses(times, dets, IDENTITY, 10_000.0, w, 5)
+            assert_same_match(winners.at(w), want)
+        assert want.multi_slot_dropped == 1
+
+    def test_empty_input(self):
+        empty = np.empty(0)
+        winners = match_slots(empty, empty, IDENTITY, 10_000.0, DENSE_WINDOWS[-1], 10)
+        for w in DENSE_WINDOWS:
+            want = reference_match_pulses(empty, empty, IDENTITY, 10_000.0, w, 10)
+            assert_same_match(winners.at(w), want)
+            assert want.n == 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_window_scan_equals_match_and_sift_per_window(self, seed):
+        times, noise = match_fixture(seed)
+        alice = gen_random_code(200, 0.5, 0.5, seed=seed)
+        # mostly Alice's own symbol, so the QBER stays a valid estimate
+        slot = np.clip(np.round(times / 10_000.0).astype(np.int64), 0, 199)
+        dets = ((alice.bases[slot] << 1) | alice.bits[slot]).astype(np.uint8)
+        dets = np.where(np.arange(times.size) % 5 == 0, noise, dets)
+        args = (times, dets, DRIFTING if seed % 2 else IDENTITY, 10_000.0, alice, DENSE_WINDOWS)
+        got = window_scan(*args, 0.3, seed, 1.2)
+        assert got == reference_window_scan(*args, 0.3, seed, 1.2)
+
+    def test_window_scan_checks_every_window(self):
+        alice = gen_random_code(10, 0.5, 0.5, seed=0)
+        times, dets = np.array([10_000.0]), np.array([0], dtype=np.uint8)
+        for windows in ((1000.0, 5000.0), (-1.0, 1000.0), (float("nan"),), ()):
+            with pytest.raises(ConfigError):
+                window_scan(times, dets, IDENTITY, 10_000.0, alice, windows)
