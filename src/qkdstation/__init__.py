@@ -42,11 +42,9 @@ from .readout import (
     CounterBank,
     ReadoutBuffer,
     count_gated,
-    pack,
     pack_words,
     read_timetag_file,
     stream,
-    unpack,
     unpack_words,
     write_timetag_file,
 )
@@ -64,15 +62,9 @@ from .sift import (
 from .tdc import (
     ChannelState,
     DelayLineProfile,
-    RawHit,
     TdcConfig,
-    TdcRecord,
     build_delay_line,
-    digitize,
     digitize_stream,
-    encode_fine,
-    reconstruct,
-    sample_thermometer,
 )
 
 __version__ = "0.1.0"

@@ -13,13 +13,13 @@ is the raw spread divided by sqrt(2).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
+from .config import write_csv
 from .errors import CalibrationError, ConfigError
 from .seeding import derive_rng
 from .tdc import (
@@ -314,27 +314,16 @@ def write_calibration_csv(table: CalibrationTable, path) -> None:
     ``inl_lsb`` is the cumulative nonlinearity at the bin's right
     boundary, so the final row shows the period closure (0).
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fine_code", "width_ps", "dnl_lsb", "inl_lsb"])
-        for j, code in enumerate(table.occupied):
-            writer.writerow(
-                [
-                    int(code),
-                    f"{table.bin_widths[code]:.6f}",
-                    f"{table.dnl[j]:.6f}",
-                    f"{table.inl[j + 1]:.6f}",
-                ]
-            )
-
-
-def read_calibration_csv(path) -> list[tuple[int, float, float, float]]:
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["fine_code", "width_ps", "dnl_lsb", "inl_lsb"]:
-            raise CalibrationError(f"unexpected calibration CSV header {header}")
-        for row in reader:
-            rows.append((int(row[0]), float(row[1]), float(row[2]), float(row[3])))
-    return rows
+    write_csv(
+        path,
+        ["fine_code", "width_ps", "dnl_lsb", "inl_lsb"],
+        (
+            [
+                int(code),
+                f"{table.bin_widths[code]:.6f}",
+                f"{table.dnl[j]:.6f}",
+                f"{table.inl[j + 1]:.6f}",
+            ]
+            for j, code in enumerate(table.occupied)
+        ),
+    )

@@ -15,14 +15,19 @@ calibration), 2 configuration or file-format error.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import calibration as cal
-from .config import ExperimentConfig, file_digest, load_config, reference_config_text
+from .config import (
+    ExperimentConfig,
+    file_digest,
+    load_config,
+    reference_config_text,
+    write_csv,
+)
 from .errors import (
     CalibrationError,
     ConfigError,
@@ -74,29 +79,29 @@ def cmd_calibrate(args) -> int:
         np.empty(0, dtype=np.uint64),
         tap_width_matrix(cfg.tdc, tables),
     )
-    summary_path = out / "calibration_summary.csv"
-    with open(summary_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["channel", "lsb_ps", "dnl_min_lsb", "dnl_max_lsb", "inl_min_lsb", "inl_max_lsb"]
+    for t in tables:
+        cal.write_calibration_csv(t, out / f"calibration_ch{t.channel:02d}.csv")
+        print(
+            f"channel {t.channel:2d}: LSB {t.lsb:.3f} ps, "
+            f"DNL [{t.dnl.min():+.3f}, {t.dnl.max():+.3f}] LSB, "
+            f"INL [{t.inl.min():+.3f}, {t.inl.max():+.3f}] LSB"
         )
-        for t in tables:
-            cal.write_calibration_csv(t, out / f"calibration_ch{t.channel:02d}.csv")
-            writer.writerow(
-                [
-                    t.channel,
-                    f"{t.lsb:.6f}",
-                    f"{t.dnl.min():.6f}",
-                    f"{t.dnl.max():.6f}",
-                    f"{t.inl.min():.6f}",
-                    f"{t.inl.max():.6f}",
-                ]
-            )
-            print(
-                f"channel {t.channel:2d}: LSB {t.lsb:.3f} ps, "
-                f"DNL [{t.dnl.min():+.3f}, {t.dnl.max():+.3f}] LSB, "
-                f"INL [{t.inl.min():+.3f}, {t.inl.max():+.3f}] LSB"
-            )
+    summary_path = out / "calibration_summary.csv"
+    write_csv(
+        summary_path,
+        ["channel", "lsb_ps", "dnl_min_lsb", "dnl_max_lsb", "inl_min_lsb", "inl_max_lsb"],
+        (
+            [
+                t.channel,
+                f"{t.lsb:.6f}",
+                f"{t.dnl.min():.6f}",
+                f"{t.dnl.max():.6f}",
+                f"{t.inl.min():.6f}",
+                f"{t.inl.max():.6f}",
+            ]
+            for t in tables
+        ),
+    )
     print(f"tables in {out / 'calibration.qtt'}, summary in {summary_path}")
     return EXIT_OK
 
@@ -127,22 +132,21 @@ def cmd_precision(args) -> int:
             f"(mean interval {report.mean_interval:.3f} ps, n={report.n_samples})"
         )
     path = out / "precision.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["channel_a", "channel_b", "raw_std_ps", "per_channel_rms_ps", "n_samples", "mean_interval_ps"]
-        )
-        for r in rows:
-            writer.writerow(
-                [
-                    r.channel_pair[0],
-                    r.channel_pair[1],
-                    f"{r.raw_std:.6f}",
-                    f"{r.per_channel_rms:.6f}",
-                    r.n_samples,
-                    f"{r.mean_interval:.6f}",
-                ]
-            )
+    write_csv(
+        path,
+        ["channel_a", "channel_b", "raw_std_ps", "per_channel_rms_ps", "n_samples", "mean_interval_ps"],
+        (
+            [
+                r.channel_pair[0],
+                r.channel_pair[1],
+                f"{r.raw_std:.6f}",
+                f"{r.per_channel_rms:.6f}",
+                r.n_samples,
+                f"{r.mean_interval:.6f}",
+            ]
+            for r in rows
+        ),
+    )
     print(f"precision report in {path}")
     return EXIT_OK
 

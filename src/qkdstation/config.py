@@ -9,6 +9,7 @@ byte-for-byte.
 from __future__ import annotations
 
 import configparser
+import csv
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -150,7 +151,6 @@ def _config_from_parser(p: configparser.ConfigParser) -> ExperimentConfig:
         n_taps=int(tdc_sec.get("n_taps", 261)),
         n_channels=int(tdc_sec.get("n_channels", 16)),
         dead_time=float(tdc_sec.get("dead_time_ps", 30_000.0)),
-        coarse_bits=int(tdc_sec.get("coarse_bits", 40)),
     )
     link_sec = p["link"] if p.has_section("link") else {}
     link = LinkModel(
@@ -262,3 +262,11 @@ def file_digest(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header row, then every row of the iterable ``rows``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

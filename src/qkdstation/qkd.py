@@ -14,12 +14,14 @@ basis, bit as parallel arrays) rather than one object per pulse; at
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, FileFormatError
+from .tdc import gate_dead_time
 
 BASIS_Z = 0
 BASIS_X = 1
@@ -103,9 +105,6 @@ class ClockModel:
 
     def to_receiver(self, t_alice):
         return (np.asarray(t_alice, dtype=float) + self.offset) * self.scale
-
-    def to_sender(self, t_bob):
-        return np.asarray(t_bob, dtype=float) / self.scale - self.offset
 
 
 @dataclass
@@ -235,19 +234,6 @@ def poisson_background(
     )
 
 
-def _gate_detector_stream(
-    detections: DetectionSet, dead_time: float
-) -> tuple[DetectionSet, np.ndarray]:
-    """Apply detector dead time to one detector's merged stream.
-
-    Returns (surviving detections, origins of suppressed clicks).
-    """
-    from .tdc import gate_dead_time
-
-    keep, _ = gate_dead_time(detections.times, dead_time)
-    return detections.select(keep), detections.origins[~keep]
-
-
 def simulate_link(
     alice: AliceBlock,
     link: LinkModel,
@@ -302,11 +288,12 @@ def simulate_link(
         ledger.background_generated += bg.n
         ledger.dark_generated += dark.n
         merged = DetectionSet.merge(*parts, bg, dark)
-        gated, suppressed = _gate_detector_stream(merged, detectors.det_dead_time)
+        keep, _ = gate_dead_time(merged.times, detectors.det_dead_time)
+        suppressed = merged.origins[~keep]
         ledger.signal_suppressed += int(np.sum(suppressed >= 0))
         ledger.background_suppressed += int(np.sum(suppressed == ORIGIN_BACKGROUND))
         ledger.dark_suppressed += int(np.sum(suppressed == ORIGIN_DARK))
-        streams.append(gated)
+        streams.append(merged.select(keep))
 
     out = DetectionSet.merge(*streams)
     ledger.signal_detected = int(np.sum(out.origins >= 0))
@@ -414,6 +401,14 @@ def read_alice_sidecar(path) -> tuple[AliceBlock, SidecarMeta]:
         raise FileFormatError(f"bad sidecar magic {magic!r}", offset=0)
     if version != SIDECAR_VERSION:
         raise FileFormatError(f"unsupported sidecar version {version}", offset=4)
+    for name, value, at, in_range in (
+        ("pulse period", pulse_period, 8, pulse_period > 0),
+        ("sync period", sync_period, 16, sync_period > 0),
+        ("offset bound", offset_bound, 24, offset_bound >= 0),
+        ("f_ec", f_ec, 40, f_ec >= 1),
+    ):
+        if not (in_range and math.isfinite(value)):
+            raise FileFormatError(f"sidecar {name} {value} is out of range", offset=at)
     off = _SIDECAR_FIXED.size
     need = off + 8 * n_windows + n_pulses
     if len(raw) < need:

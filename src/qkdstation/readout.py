@@ -18,17 +18,15 @@ bandwidth, which is how a 30 M/s count capability coexists with a
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FileFormatError, PackError
-from .tdc import TdcConfig, TdcRecord, gate_dead_time
+from .tdc import CHANNEL_BITS, COARSE_BITS, FINE_BITS, TdcConfig, gate_dead_time
 
-FINE_BITS = 9
-COARSE_BITS = 40
-CHANNEL_BITS = 5
 _FINE_MASK = (1 << FINE_BITS) - 1
 _COARSE_MASK = (1 << COARSE_BITS) - 1
 _CHANNEL_MASK = (1 << CHANNEL_BITS) - 1
@@ -39,37 +37,6 @@ _RESERVED_SHIFT = _ROLLOVER_SHIFT + 1  # 55
 
 WORD_SIZE = 8  # bytes
 TICK_PS = 1_000_000.0  # 1 us discrete-time step for the link simulation
-
-
-def pack(record: TdcRecord, rollover: bool = False) -> int:
-    """Pack a record into its 64-bit word. Overflowing any field is an
-    error, never a silent truncation."""
-    if not 0 <= record.fine <= _FINE_MASK:
-        raise PackError(f"fine {record.fine} exceeds {FINE_BITS} bits")
-    if not 0 <= record.coarse <= _COARSE_MASK:
-        raise PackError(f"coarse {record.coarse} exceeds {COARSE_BITS} bits")
-    if not 0 <= record.channel <= _CHANNEL_MASK:
-        raise PackError(f"channel {record.channel} exceeds {CHANNEL_BITS} bits")
-    return (
-        record.fine
-        | (record.coarse << _COARSE_SHIFT)
-        | (record.channel << _CHANNEL_SHIFT)
-        | (int(bool(rollover)) << _ROLLOVER_SHIFT)
-    )
-
-
-def unpack(word: int) -> tuple[TdcRecord, bool]:
-    """Inverse of :func:`pack`. Nonzero reserved bits are an error."""
-    if not 0 <= word < (1 << 64):
-        raise PackError(f"word {word:#x} is not a 64-bit value")
-    if word >> _RESERVED_SHIFT:
-        raise PackError(f"word {word:#018x} has nonzero reserved bits")
-    record = TdcRecord(
-        channel=(word >> _CHANNEL_SHIFT) & _CHANNEL_MASK,
-        coarse=(word >> _COARSE_SHIFT) & _COARSE_MASK,
-        fine=word & _FINE_MASK,
-    )
-    return record, bool((word >> _ROLLOVER_SHIFT) & 1)
 
 
 def pack_words(
@@ -325,6 +292,10 @@ def read_timetag_file(path) -> tuple[TimeTagHeader, np.ndarray, np.ndarray | Non
         raise FileFormatError(f"unsupported version {version}", offset=4)
     if not flags & FLAG_LITTLE_ENDIAN:
         raise FileFormatError("only little-endian files are defined", offset=6)
+    if not (math.isfinite(clock_period) and clock_period > 0):
+        raise FileFormatError(
+            f"clock period {clock_period} is not a finite positive number", offset=8
+        )
     body_end = HEADER_SIZE + n_records * WORD_SIZE
     if len(raw) < body_end:
         raise FileFormatError(

@@ -10,15 +10,15 @@ field for field.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import calibration as cal
 from . import readout
-from .config import ExperimentConfig, RunManifest, TOOL_VERSION, file_digest
+from .config import ExperimentConfig, RunManifest, TOOL_VERSION, file_digest, write_csv
 from .errors import FileFormatError, StationError
 from .qkd import (
     DET_SYNC,
@@ -257,20 +257,18 @@ def analyze_files(
 
 def _dump_matched_pairs(path, times, detectors, clock, pulse_period, n_slots, windows):
     winners = match_slots(times, detectors, clock, pulse_period, windows[-1], n_slots)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["window_ps", "pulse_index", "detector", "residual_ps"])
+
+    def rows():
         for w in windows:
             m = winners.at(w)
-            for i in range(m.n):
-                writer.writerow(
-                    [
-                        f"{w:.1f}",
-                        int(m.pulse_index[i]),
-                        int(m.detector[i]),
-                        f"{m.residual[i]:.3f}",
-                    ]
-                )
+            yield from zip(
+                repeat(f"{w:.1f}"),
+                m.pulse_index.tolist(),
+                m.detector.tolist(),
+                [f"{r:.3f}" for r in m.residual.tolist()],
+            )
+
+    write_csv(path, ["window_ps", "pulse_index", "detector", "residual_ps"], rows())
 
 
 def run_session(

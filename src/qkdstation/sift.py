@@ -13,12 +13,12 @@ is the whole point of good timing resolution.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import write_csv
 from .errors import ConfigError, SyncRecoveryError
 from .qkd import AliceBlock
 from .seeding import derive_rng
@@ -386,33 +386,32 @@ def window_scan(
 
 def write_sift_csv(reports, path) -> None:
     """One row per window, fields in SiftReport order."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
+    write_csv(
+        path,
+        [
+            "window_ps",
+            "matched",
+            "sifted_bits",
+            "disclosed",
+            "errors_found",
+            "qber",
+            "sifted_rate_bps",
+            "secure_rate_bps",
+        ],
+        (
             [
-                "window_ps",
-                "matched",
-                "sifted_bits",
-                "disclosed",
-                "errors_found",
-                "qber",
-                "sifted_rate_bps",
-                "secure_rate_bps",
+                f"{r.window:.6f}",
+                r.matched,
+                r.sifted_bits,
+                r.disclosed,
+                r.errors_found,
+                f"{r.qber:.8f}",
+                f"{r.sifted_rate:.6f}",
+                f"{r.secure_rate:.6f}",
             ]
-        )
-        for r in reports:
-            writer.writerow(
-                [
-                    f"{r.window:.6f}",
-                    r.matched,
-                    r.sifted_bits,
-                    r.disclosed,
-                    r.errors_found,
-                    f"{r.qber:.8f}",
-                    f"{r.sifted_rate:.6f}",
-                    f"{r.secure_rate:.6f}",
-                ]
-            )
+            for r in reports
+        ),
+    )
 
 
 def format_summary(report: SiftReport, clock: ClockEstimate) -> str:

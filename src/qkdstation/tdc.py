@@ -4,9 +4,11 @@ A hit edge propagates along a chain of small fixed delays; a sampling
 clock latches the chain state into a thermometer code whose 1-to-0
 transition encodes the sub-clock-period arrival phase. A free-running
 counter of clock periods supplies the coarse time. The model covers
-nonuniform tap delays (DNL), sampling jitter, bubble-tolerant encoding,
-per-channel dead time, and timestamp reconstruction against a
-calibration table.
+nonuniform tap delays (DNL), sampling jitter, per-channel dead time, and
+timestamp reconstruction against a calibration table. It works on whole
+arrays of hits: the fine code is the number of comb boundaries a hit
+has passed, found by bisection, so the monotone comb never yields a
+bubble to filter.
 
 Conventions used throughout:
 
@@ -32,9 +34,10 @@ from .errors import CalibrationError, ConfigError
 if TYPE_CHECKING:
     from .calibration import CalibrationTable
 
-# The wire format gives the fine code 9 bits and the channel id 5 bits.
-FINE_FIELD_LIMIT = 512
-CHANNEL_FIELD_LIMIT = 32
+# Widths of the event word's fields (see qkdstation.readout).
+FINE_BITS = 9
+COARSE_BITS = 40
+CHANNEL_BITS = 5
 MIN_DYNAMIC_RANGE_PS = 1e12
 
 
@@ -47,27 +50,26 @@ class TdcConfig:
     n_taps: int = 261
     n_channels: int = 16
     dead_time: float = 30_000.0  # ps
-    coarse_bits: int = 40
 
     def __post_init__(self):
         if self.clock_period <= 0:
             raise ConfigError("clock_period must be positive")
         if self.n_taps < 2:
             raise ConfigError("need at least 2 taps")
-        if self.n_taps >= FINE_FIELD_LIMIT:
+        if self.n_taps >= 1 << FINE_BITS:
             raise ConfigError(
-                f"n_taps={self.n_taps} does not fit the 9-bit fine field"
+                f"n_taps={self.n_taps} does not fit the {FINE_BITS}-bit fine field"
             )
-        if not 1 <= self.n_channels <= CHANNEL_FIELD_LIMIT:
-            raise ConfigError("n_channels must be in 1..32")
+        if not 1 <= self.n_channels <= 1 << CHANNEL_BITS:
+            raise ConfigError(f"n_channels must be in 1..{1 << CHANNEL_BITS}")
         if self.dead_time < 0:
             raise ConfigError("dead_time must be nonnegative")
-        if float(1 << self.coarse_bits) * self.clock_period <= MIN_DYNAMIC_RANGE_PS:
+        if self.coarse_modulus * self.clock_period <= MIN_DYNAMIC_RANGE_PS:
             raise ConfigError("coarse counter dynamic range must exceed 1 s")
 
     @property
     def coarse_modulus(self) -> int:
-        return 1 << self.coarse_bits
+        return 1 << COARSE_BITS
 
     @property
     def nominal_tap(self) -> float:
@@ -107,27 +109,6 @@ class DelayLineProfile:
     @property
     def period(self) -> float:
         return float(self.boundaries[-1])
-
-
-@dataclass(frozen=True)
-class RawHit:
-    """A physical signal edge arriving at one input channel."""
-
-    channel: int
-    true_time: float  # ps since epoch
-
-    def __post_init__(self):
-        if self.true_time < 0:
-            raise ConfigError("true_time must be nonnegative")
-
-
-@dataclass(frozen=True)
-class TdcRecord:
-    """Digitized event: channel id, coarse period count, fine code."""
-
-    channel: int
-    coarse: int
-    fine: int
 
 
 @dataclass
@@ -245,84 +226,6 @@ def build_delay_line(
     )
 
 
-def sample_thermometer(
-    profile: DelayLineProfile,
-    delta: float,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Latch the delay-line state for a hit ``delta`` ps before the next
-    clock edge. Returns the thermometer code as a uint8 array.
-
-    Jitter, when enabled, is one draw shifting the whole boundary comb;
-    the noiseless output is always monotone 1...10...0.
-    """
-    if delta < 0 or delta >= profile.period:
-        raise ConfigError(
-            f"delta={delta} outside [0, {profile.period}); reduce mod clock period"
-        )
-    x = delta
-    if rng is not None and profile.tap_jitter_sigma > 0:
-        # Shifting all boundaries by +eps equals comparing against delta - eps.
-        x = delta - rng.normal(0.0, profile.tap_jitter_sigma)
-    return (profile.boundaries <= x).astype(np.uint8)
-
-
-def encode_fine(code) -> int:
-    """Convert a thermometer code to its fine value.
-
-    A majority-of-3 filter (endpoints padded with themselves) removes
-    isolated bubbles, then a half-interval search locates the 1-to-0
-    transition. Total: any bit pattern maps to a value in [0, n].
-    """
-    bits = np.asarray(code, dtype=np.uint8)
-    if bits.ndim != 1 or bits.size < 2:
-        raise ConfigError("thermometer code must be 1-D with length >= 2")
-    left = np.concatenate(([bits[0]], bits[:-1]))
-    right = np.concatenate((bits[1:], [bits[-1]]))
-    filtered = (left.astype(np.int8) + bits + right) >= 2
-    lo, hi = 0, filtered.size
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if filtered[mid]:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-def digitize(
-    hit: RawHit,
-    profile: DelayLineProfile,
-    state: ChannelState,
-    config: TdcConfig,
-    rng: np.random.Generator | None = None,
-) -> TdcRecord | None:
-    """Digitize one hit, honoring the channel enable and dead time.
-
-    Returns the record, or None when the hit is discarded; the cause is
-    tallied on ``state``. Hits must be presented in arrival-time order
-    per channel.
-    """
-    _check_channel(hit.channel, profile, config)
-    if not state.enabled:
-        state.rejected_disabled += 1
-        return None
-    if (
-        state.last_accept_time is not None
-        and hit.true_time - state.last_accept_time < config.dead_time
-    ):
-        state.rejected_dead_time += 1
-        return None
-    edge = math.ceil(hit.true_time / config.clock_period)
-    delta = edge * config.clock_period - hit.true_time
-    fine = encode_fine(sample_thermometer(profile, delta, rng))
-    state.last_accept_time = hit.true_time
-    state.accepted += 1
-    return TdcRecord(
-        channel=hit.channel, coarse=edge % config.coarse_modulus, fine=fine
-    )
-
-
 def gate_dead_time(
     times: np.ndarray,
     dead_time: float,
@@ -363,10 +266,13 @@ def digitize_stream(
     config: TdcConfig,
     rng: np.random.Generator | None = None,
 ) -> RecordBatch:
-    """Vectorized digitization of one channel's sorted hit stream.
+    """Digitize one channel's sorted hit stream, honoring the channel
+    enable and the non-paralyzable dead time.
 
-    Bit-for-bit equivalent to calling :func:`digitize` per hit with the
-    same generator (each accepted hit consumes exactly one jitter draw).
+    Rejected hits are tallied on ``state`` by cause. Each accepted hit
+    takes its fine code from the boundary comb at its phase before the
+    next clock edge, shifted by one jitter draw from ``rng`` when the
+    profile has jitter, so the draws follow the accepted hits in order.
     """
     _check_channel(profile.channel, profile, config)
     t = np.asarray(times, dtype=float)
@@ -402,31 +308,16 @@ def digitize_stream(
     )
 
 
-def reconstruct(record: TdcRecord, cal: "CalibrationTable", config: TdcConfig) -> float:
-    """Recover the arrival timestamp (ps) of a digitized record.
-
-    ``timestamp = coarse * clock_period - bin_center(fine)``: the fine
-    code measures how long before the sampled clock edge the hit landed.
-    """
-    if cal is None or cal.channel != record.channel:
-        have = "no table" if cal is None else f"table for channel {cal.channel}"
-        raise CalibrationError(
-            f"channel {record.channel} has {have}; run code_density_calibrate first"
-        )
-    if not 0 <= record.fine < cal.bin_centers.size:
-        raise CalibrationError(
-            f"fine code {record.fine} outside calibrated range 0..{cal.bin_centers.size - 1}"
-        )
-    return record.coarse * config.clock_period - float(cal.bin_centers[record.fine])
-
-
 def reconstruct_stream(
     coarse: np.ndarray,
     fine: np.ndarray,
     cal: "CalibrationTable",
     config: TdcConfig,
 ) -> np.ndarray:
-    """Vector form of :func:`reconstruct` for one channel's records."""
+    """Arrival timestamps (ps) of one channel's records,
+    ``coarse * clock_period - bin_center(fine)``: the fine code measures
+    how long before the sampled clock edge each hit landed. A fine code
+    outside the table raises :class:`CalibrationError`."""
     fine = np.asarray(fine, dtype=np.int64)
     if fine.size and (fine.min() < 0 or fine.max() >= cal.bin_centers.size):
         raise CalibrationError("fine code outside calibrated range")

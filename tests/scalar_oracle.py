@@ -1,0 +1,197 @@
+"""Scalar reference route: one hit, one record, one word at a time.
+
+The pipeline digitizes, reconstructs and packs whole arrays
+(``digitize_stream``, ``reconstruct_stream``, ``pack_words`` and
+``unpack_words``). This module keeps the per-event route the arrays must
+agree with: a hit latches the delay line into a thermometer code, a
+majority-of-3 encoder turns the code into its fine value, and the record
+packs into one 64-bit word by explicit field checks and shifts. The
+dual-route tests compare the two field for field.
+"""
+
+from __future__ import annotations
+
+import csv
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from qkdstation.calibration import CalibrationTable
+from qkdstation.errors import CalibrationError, ConfigError, PackError
+from qkdstation.tdc import (
+    CHANNEL_BITS,
+    COARSE_BITS,
+    FINE_BITS,
+    ChannelState,
+    DelayLineProfile,
+    TdcConfig,
+    _check_channel,
+)
+
+_CHANNEL_SHIFT = FINE_BITS + COARSE_BITS
+_ROLLOVER_SHIFT = _CHANNEL_SHIFT + CHANNEL_BITS
+_RESERVED_SHIFT = _ROLLOVER_SHIFT + 1
+
+
+@dataclass(frozen=True)
+class RawHit:
+    """A physical signal edge arriving at one input channel."""
+
+    channel: int
+    true_time: float  # ps since epoch
+
+    def __post_init__(self):
+        if self.true_time < 0:
+            raise ConfigError("true_time must be nonnegative")
+
+
+@dataclass(frozen=True)
+class TdcRecord:
+    """Digitized event: channel id, coarse period count, fine code."""
+
+    channel: int
+    coarse: int
+    fine: int
+
+
+def sample_thermometer(
+    profile: DelayLineProfile,
+    delta: float,
+    rng: np.random.Generator | None = None,
+) -> np.ndarray:
+    """Latch the delay-line state for a hit ``delta`` ps before the next
+    clock edge. Returns the thermometer code as a uint8 array.
+
+    Jitter, when enabled, is one draw shifting the whole boundary comb;
+    the noiseless output is always monotone 1...10...0.
+    """
+    if delta < 0 or delta >= profile.period:
+        raise ConfigError(
+            f"delta={delta} outside [0, {profile.period}); reduce mod clock period"
+        )
+    x = delta
+    if rng is not None and profile.tap_jitter_sigma > 0:
+        # Shifting all boundaries by +eps equals comparing against delta - eps.
+        x = delta - rng.normal(0.0, profile.tap_jitter_sigma)
+    return (profile.boundaries <= x).astype(np.uint8)
+
+
+def encode_fine(code) -> int:
+    """Convert a thermometer code to its fine value.
+
+    A majority-of-3 filter (endpoints padded with themselves) removes
+    isolated bubbles, then a half-interval search locates the 1-to-0
+    transition. Total: any bit pattern maps to a value in [0, n].
+    """
+    bits = np.asarray(code, dtype=np.uint8)
+    if bits.ndim != 1 or bits.size < 2:
+        raise ConfigError("thermometer code must be 1-D with length >= 2")
+    left = np.concatenate(([bits[0]], bits[:-1]))
+    right = np.concatenate((bits[1:], [bits[-1]]))
+    filtered = (left.astype(np.int8) + bits + right) >= 2
+    lo, hi = 0, filtered.size
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if filtered[mid]:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def digitize(
+    hit: RawHit,
+    profile: DelayLineProfile,
+    state: ChannelState,
+    config: TdcConfig,
+    rng: np.random.Generator | None = None,
+) -> TdcRecord | None:
+    """Digitize one hit, honoring the channel enable and dead time.
+
+    Returns the record, or None when the hit is discarded; the cause is
+    tallied on ``state``. Hits must be presented in arrival-time order
+    per channel.
+    """
+    _check_channel(hit.channel, profile, config)
+    if not state.enabled:
+        state.rejected_disabled += 1
+        return None
+    if (
+        state.last_accept_time is not None
+        and hit.true_time - state.last_accept_time < config.dead_time
+    ):
+        state.rejected_dead_time += 1
+        return None
+    edge = math.ceil(hit.true_time / config.clock_period)
+    delta = edge * config.clock_period - hit.true_time
+    fine = encode_fine(sample_thermometer(profile, delta, rng))
+    state.last_accept_time = hit.true_time
+    state.accepted += 1
+    return TdcRecord(
+        channel=hit.channel, coarse=edge % config.coarse_modulus, fine=fine
+    )
+
+
+def reconstruct(
+    record: TdcRecord, cal: CalibrationTable | None, config: TdcConfig
+) -> float:
+    """Recover the arrival timestamp (ps) of a digitized record.
+
+    ``timestamp = coarse * clock_period - bin_center(fine)``: the fine
+    code measures how long before the sampled clock edge the hit landed.
+    """
+    if cal is None or cal.channel != record.channel:
+        have = "no table" if cal is None else f"table for channel {cal.channel}"
+        raise CalibrationError(
+            f"channel {record.channel} has {have}; run code_density_calibrate first"
+        )
+    if not 0 <= record.fine < cal.bin_centers.size:
+        raise CalibrationError(
+            f"fine code {record.fine} outside calibrated range 0..{cal.bin_centers.size - 1}"
+        )
+    return record.coarse * config.clock_period - float(cal.bin_centers[record.fine])
+
+
+def pack(record: TdcRecord, rollover: bool = False) -> int:
+    """Pack a record into its 64-bit word. Overflowing any field is an
+    error, never a silent truncation."""
+    if not 0 <= record.fine < 1 << FINE_BITS:
+        raise PackError(f"fine {record.fine} exceeds {FINE_BITS} bits")
+    if not 0 <= record.coarse < 1 << COARSE_BITS:
+        raise PackError(f"coarse {record.coarse} exceeds {COARSE_BITS} bits")
+    if not 0 <= record.channel < 1 << CHANNEL_BITS:
+        raise PackError(f"channel {record.channel} exceeds {CHANNEL_BITS} bits")
+    return (
+        record.fine
+        | (record.coarse << FINE_BITS)
+        | (record.channel << _CHANNEL_SHIFT)
+        | (int(bool(rollover)) << _ROLLOVER_SHIFT)
+    )
+
+
+def unpack(word: int) -> tuple[TdcRecord, bool]:
+    """Inverse of :func:`pack`. Nonzero reserved bits are an error."""
+    if not 0 <= word < (1 << 64):
+        raise PackError(f"word {word:#x} is not a 64-bit value")
+    if word >> _RESERVED_SHIFT:
+        raise PackError(f"word {word:#018x} has nonzero reserved bits")
+    record = TdcRecord(
+        channel=(word >> _CHANNEL_SHIFT) & ((1 << CHANNEL_BITS) - 1),
+        coarse=(word >> FINE_BITS) & ((1 << COARSE_BITS) - 1),
+        fine=word & ((1 << FINE_BITS) - 1),
+    )
+    return record, bool((word >> _ROLLOVER_SHIFT) & 1)
+
+
+def read_calibration_csv(path) -> list[tuple[int, float, float, float]]:
+    """Rows of a per-channel calibration CSV as (code, width, dnl, inl)."""
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if header != ["fine_code", "width_ps", "dnl_lsb", "inl_lsb"]:
+            raise CalibrationError(f"unexpected calibration CSV header {header}")
+        for row in reader:
+            rows.append((int(row[0]), float(row[1]), float(row[2]), float(row[3])))
+    return rows

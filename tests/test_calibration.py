@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scalar_oracle import read_calibration_csv
 
 from qkdstation.calibration import (
     GRID_CELLS_PER_TAP,
@@ -12,7 +13,6 @@ from qkdstation.calibration import (
     code_density_calibrate,
     decorrelation_cable_delay,
     precision_test,
-    read_calibration_csv,
     table_from_profile,
     table_from_widths,
     uniform_phase_histogram,

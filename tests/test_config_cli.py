@@ -92,6 +92,27 @@ def small_config(tmp_path):
     return path
 
 
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """Artifacts of one run of the small config, shared read-only."""
+    root = tmp_path_factory.mktemp("small_run")
+    (root / "small.ini").write_text(SMALL_CONFIG)
+    out = root / "out"
+    assert main(["run", "--config", str(root / "small.ini"), "--output", str(out)]) == 0
+    return out
+
+
+# (artifact, byte offset, name in the error, bad values at the edge of its
+# range) of each float a header carries; nan, inf and -1 are bad for all
+HEADER_FLOATS = {
+    "pulse_period": ("alice.qac", 8, "pulse period", (0.0,)),
+    "sync_period": ("alice.qac", 16, "sync period", (0.0,)),
+    "offset_bound": ("alice.qac", 24, "offset bound", ()),
+    "f_ec": ("alice.qac", 40, "f_ec", (0.5,)),
+    "clock_period": ("session.qtt", 8, "clock period", (0.0,)),
+}
+
+
 class TestConfigParsing:
     def test_reference_config_loads(self):
         cfg = reference_config()
@@ -363,6 +384,27 @@ class TestCliRunAnalyze:
         bad = tmp_path / "bad.qtt"
         bad.write_bytes(bytes(raw))
         assert main(["analyze", str(bad), str(out / "alice.qac")]) == 2
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            (field, value)
+            for field, (*_, edge) in HEADER_FLOATS.items()
+            for value in (np.nan, np.inf, -1.0) + edge
+        ],
+    )
+    def test_bad_header_float_exit_2(self, small_run, tmp_path, capsys, field, value):
+        artifact, at, named, _ = HEADER_FLOATS[field]
+        raw = bytearray((small_run / artifact).read_bytes())
+        raw[at : at + 8] = struct.pack("<d", value)
+        (tmp_path / artifact).write_bytes(bytes(raw))
+        paths = {a: str(small_run / a) for a in ("session.qtt", "alice.qac")}
+        paths[artifact] = str(tmp_path / artifact)
+        capsys.readouterr()
+        args = ["analyze", paths["session.qtt"], paths["alice.qac"]]
+        assert main(args + ["--output", str(tmp_path / "a")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
 
     def test_fine_code_out_of_range_exit_2(self, small_config, tmp_path):
         out = tmp_path / "out"

@@ -22,6 +22,7 @@ from qkdstation.qkd import (
     simulate_link,
     write_alice_sidecar,
 )
+from qkdstation.sift import ClockEstimate
 
 
 def quiet_detectors(**kw):
@@ -135,7 +136,10 @@ class TestSimulateLink:
     def test_clock_transform_invertible(self):
         clock = ClockModel(offset=1e8, drift_ppm=10.0)
         t = np.linspace(0.0, 1e12, 1000)
-        back = clock.to_sender(clock.to_receiver(t))
+        inverse = ClockEstimate(
+            offset_hat=1e8, drift_hat_ppm=10.0, residual_rms=0.0, n_sync_used=2
+        )
+        back = inverse.to_sender(clock.to_receiver(t))
         assert np.max(np.abs(back - t)) < 1e-3
 
     def test_qber_matches_analytic_within_3_sigma(self):

@@ -1,20 +1,19 @@
 import numpy as np
 import pytest
+from scalar_oracle import TdcRecord, pack, unpack
 
 from qkdstation.errors import FileFormatError, PackError
 from qkdstation.readout import (
     CounterBank,
     count_gated,
-    pack,
     pack_words,
     read_timetag_file,
     stream,
-    unpack,
     unpack_words,
     unwrap_coarse,
     write_timetag_file,
 )
-from qkdstation.tdc import TdcConfig, TdcRecord
+from qkdstation.tdc import TdcConfig
 
 
 class TestPackUnpack:

@@ -2,23 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from scalar_oracle import (
+    RawHit,
+    TdcRecord,
+    digitize,
+    encode_fine,
+    reconstruct,
+    sample_thermometer,
+)
 
 from qkdstation.calibration import table_from_profile
 from qkdstation.errors import CalibrationError, ConfigError
 from qkdstation.tdc import (
     ChannelState,
     DelayLineProfile,
-    RawHit,
     TdcConfig,
-    TdcRecord,
     build_delay_line,
-    digitize,
     digitize_stream,
-    encode_fine,
     gate_dead_time,
-    reconstruct,
     reconstruct_stream,
-    sample_thermometer,
 )
 
 
@@ -300,11 +302,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             TdcConfig(n_channels=33)
         with pytest.raises(ConfigError):
-            TdcConfig(coarse_bits=20)  # dynamic range below 1 s
+            TdcConfig(clock_period=0.5)  # dynamic range below 1 s
 
     def test_dynamic_range_exceeds_one_second(self):
         cfg = TdcConfig()
-        assert 2**cfg.coarse_bits * cfg.clock_period > 1e12
+        assert cfg.coarse_modulus * cfg.clock_period > 1e12
 
     def test_profile_validation(self):
         with pytest.raises(ConfigError):
