@@ -43,6 +43,8 @@ STIMULUS_CHUNK = 1 << 14
 # a cell) and ends the doubling for boundaries no grid separates.
 GRID_CELLS_PER_TAP = 4
 GRID_MAX_CELLS = 1 << 18
+# Whole taps of the precision test's default cable delay.
+CABLE_DELAY_TAPS = 125
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,6 @@ class CalibrationTable:
     dnl: np.ndarray  # LSB units, occupied bins only
     inl: np.ndarray  # LSB units, occupied-bin boundaries
     occupied: np.ndarray  # fine codes with nonzero width
-    sample_count: int
 
 
 @dataclass(frozen=True)
@@ -82,10 +83,7 @@ class PrecisionReport:
 
 
 def _table_from_widths(
-    channel: int,
-    widths: np.ndarray,
-    clock_period: float,
-    sample_count: int,
+    channel: int, widths: np.ndarray, clock_period: float
 ) -> CalibrationTable:
     occupied = np.flatnonzero(widths > 0)
     if occupied.size == 0:
@@ -109,7 +107,6 @@ def _table_from_widths(
         dnl=dnl,
         inl=inl,
         occupied=occupied,
-        sample_count=sample_count,
     )
 
 
@@ -147,13 +144,13 @@ def code_density_calibrate(
             "delay line looks broken"
         )
     widths = config.clock_period * counts / total
-    return _table_from_widths(channel, widths, config.clock_period, total)
+    return _table_from_widths(channel, widths, config.clock_period)
 
 
 def table_from_profile(profile: DelayLineProfile, config: TdcConfig) -> CalibrationTable:
     """Exact table for a known delay line (infinite-statistics limit)."""
     widths = np.concatenate((profile.tap_delays, [0.0]))
-    return _table_from_widths(profile.channel, widths, config.clock_period, 0)
+    return _table_from_widths(profile.channel, widths, config.clock_period)
 
 
 def table_from_widths(
@@ -166,7 +163,7 @@ def table_from_widths(
     if np.any(w < 0):
         raise CalibrationError("bin widths must be nonnegative")
     widths = np.concatenate((w, [0.0]))
-    return _table_from_widths(channel, widths, config.clock_period, 0)
+    return _table_from_widths(channel, widths, config.clock_period)
 
 
 def uniform_phase_histogram(
@@ -235,9 +232,10 @@ def calibrate_from_stimulus(
     return code_density_calibrate(hist, config, channel=profile.channel)
 
 
-def decorrelation_cable_delay(config: TdcConfig, tap_offsets: int = 125) -> float:
+def decorrelation_cable_delay(config: TdcConfig) -> float:
     """Cable delay placing the two channels' quantization phases at the
-    decorrelation lag of the bin-error sawtooth.
+    decorrelation lag of the bin-error sawtooth, ``CABLE_DELAY_TAPS``
+    whole taps plus that lag.
 
     With a shared sampling clock and identical uniform delay lines, the
     two channels quantize phases that differ by a FIXED lag (the cable
@@ -248,7 +246,7 @@ def decorrelation_cable_delay(config: TdcConfig, tap_offsets: int = 125) -> floa
     uncorrelated even for an ideal uniform line.
     """
     u_star = 0.5 + 1.0 / (2.0 * math.sqrt(3.0))
-    return (tap_offsets + u_star) * config.nominal_tap
+    return (CABLE_DELAY_TAPS + u_star) * config.nominal_tap
 
 
 def precision_test(
@@ -259,17 +257,15 @@ def precision_test(
     cable_delay: float,
     n: int,
     seed: int,
-    cal_a: CalibrationTable | None = None,
-    cal_b: CalibrationTable | None = None,
 ) -> PrecisionReport:
     """Cable-delay precision measurement between two channels.
 
     Generates ``n`` pulse edges, feeds each to channel A at t and to
-    channel B at t + cable_delay, reconstructs both streams, and reports
-    the interval spread. The generator phase is dithered uniformly over
-    one clock period per pulse (common to both channels, so it cancels
-    in the interval) to guarantee a uniform fine-phase ensemble whatever
-    the pulse period.
+    channel B at t + cable_delay, reconstructs both streams through the
+    exact tables of their delay lines, and reports the interval spread.
+    The generator phase is dithered uniformly over one clock period per
+    pulse (common to both channels, so it cancels in the interval) to
+    guarantee a uniform fine-phase ensemble whatever the pulse period.
     """
     if period <= config.dead_time:
         raise ConfigError(
@@ -283,11 +279,8 @@ def precision_test(
     dither = rng.random(n) * config.clock_period
     t_a = base + dither
     t_b = t_a + cable_delay
-
-    if cal_a is None:
-        cal_a = table_from_profile(profile_a, config)
-    if cal_b is None:
-        cal_b = table_from_profile(profile_b, config)
+    cal_a = table_from_profile(profile_a, config)
+    cal_b = table_from_profile(profile_b, config)
 
     rng_a = derive_rng(seed, "precision", f"jitter-ch{pair[0]}")
     rng_b = derive_rng(seed, "precision", f"jitter-ch{pair[1]}")

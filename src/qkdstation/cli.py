@@ -61,10 +61,7 @@ def cmd_init(args) -> int:
 
 
 def _load(args) -> tuple[ExperimentConfig, str]:
-    path = Path(args.config)
-    if not path.is_file():
-        raise ConfigError(f"config file {path} not found")
-    return load_config(path), file_digest(path)
+    return load_config(args.config), file_digest(args.config)
 
 
 def cmd_calibrate(args) -> int:

@@ -135,12 +135,18 @@ def _ints(text: str) -> tuple[int, ...]:
 def load_config(path) -> ExperimentConfig:
     """Parse and validate a config file; raises ConfigError on problems."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(str(path))
-    if not read:
-        raise ConfigError(f"config file {path} not found or unreadable")
+    known = _reference_parser()  # sets every key the parser reads
     try:
+        if not parser.read(str(path)):
+            raise ConfigError(f"config file {path} not found or unreadable")
+        for name in (parser.default_section, *parser.sections()):
+            if name not in known:
+                raise ConfigError(f"unknown config section [{name}]")
+            unknown = sorted(set(parser[name]) - set(known[name]))
+            if unknown:
+                raise ConfigError(f"unknown key {', '.join(unknown)} in [{name}]")
         return _config_from_parser(parser)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, configparser.Error) as exc:
         raise ConfigError(f"bad config {path}: {exc}") from exc
 
 
@@ -226,10 +232,14 @@ def reference_config_text() -> str:
     )
 
 
-def reference_config() -> ExperimentConfig:
+def _reference_parser() -> configparser.ConfigParser:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     parser.read_string(reference_config_text())
-    return _config_from_parser(parser)
+    return parser
+
+
+def reference_config() -> ExperimentConfig:
+    return _config_from_parser(_reference_parser())
 
 
 @dataclass

@@ -31,7 +31,6 @@ DET_Z1 = 1
 DET_X0 = 2
 DET_X1 = 3
 DET_SYNC = 4
-DETECTOR_NAMES = ("Z0", "Z1", "X0", "X1", "SYNC")
 
 # DetectionSet.origins values below 0 flag unphysical provenance.
 ORIGIN_BACKGROUND = -1

@@ -79,7 +79,7 @@ def unpack_words(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     return channel, coarse, fine, rollover
 
 
-def unwrap_coarse(coarse: np.ndarray, coarse_bits: int = COARSE_BITS) -> np.ndarray:
+def unwrap_coarse(coarse: np.ndarray) -> np.ndarray:
     """Undo coarse-counter wraparound for one channel's time-ordered records.
 
     Assumes a monotone underlying stream: every decrease of the coarse
@@ -89,7 +89,7 @@ def unwrap_coarse(coarse: np.ndarray, coarse_bits: int = COARSE_BITS) -> np.ndar
     if c.size == 0:
         return c.copy()
     wraps = np.concatenate(([0], np.cumsum(np.diff(c) < 0)))
-    return c + wraps * (1 << coarse_bits)
+    return c + wraps * (1 << COARSE_BITS)
 
 
 @dataclass
@@ -99,7 +99,6 @@ class ReadoutBuffer:
     depth: int
     occupancy: int = 0
     drops: int = 0
-    drained_bytes: int = 0
     arrived: int = 0
     delivered: int = 0
 
@@ -111,8 +110,6 @@ def stream(
     arrival_times: np.ndarray,
     depth: int,
     link_rate: float,
-    word_size: int = WORD_SIZE,
-    tick_ps: float = TICK_PS,
 ) -> tuple[ReadoutBuffer, np.ndarray]:
     """Push time-stamped words through the bounded buffer and capped link.
 
@@ -130,14 +127,13 @@ def stream(
     if t.size and t[0] < 0:
         raise PackError("arrival times must be nonnegative")
     buf = ReadoutBuffer(depth=depth)
-    delivered: list[np.ndarray] = []
     if t.size == 0:
         return buf, np.empty(0, dtype=np.int64)
 
-    bytes_per_tick = link_rate * tick_ps / 1e12
-    n_ticks = int(np.floor(t[-1] / tick_ps)) + 1
+    bytes_per_tick = link_rate * TICK_PS / 1e12
+    n_ticks = int(np.floor(t[-1] / TICK_PS)) + 1
     # First arrival index of each tick.
-    tick_of = np.floor(t / tick_ps).astype(np.int64)
+    tick_of = np.floor(t / TICK_PS).astype(np.int64)
     starts = np.searchsorted(tick_of, np.arange(n_ticks + 1))
 
     accepted: list[np.ndarray] = []
@@ -154,12 +150,11 @@ def stream(
             buf.drops += n_new - take
             buf.arrived += n_new
         budget += bytes_per_tick
-        can_drain = min(int(budget // word_size), buf.occupancy)
+        can_drain = min(int(budget // WORD_SIZE), buf.occupancy)
         if can_drain:
             buf.occupancy -= can_drain
             buf.delivered += can_drain
-            buf.drained_bytes += can_drain * word_size
-            budget -= can_drain * word_size
+            budget -= can_drain * WORD_SIZE
         if buf.occupancy == 0:
             budget = 0.0  # idle link accrues no credit
     flat = (
@@ -174,9 +169,6 @@ class CounterBank:
 
     gate_length: float  # ps
     counts: np.ndarray  # shape (n_channels, n_gates)
-
-    def totals(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
 
 
 def count_gated(
@@ -228,12 +220,6 @@ class TimeTagHeader:
     n_channels: int
     n_records: int
     calibration_offset: int = 0
-    version: int = TIMETAG_VERSION
-    flags: int = FLAG_LITTLE_ENDIAN
-
-    @property
-    def has_calibration(self) -> bool:
-        return self.calibration_offset != 0
 
 
 def write_timetag_file(
@@ -304,6 +290,12 @@ def read_timetag_file(path) -> tuple[TimeTagHeader, np.ndarray, np.ndarray | Non
             offset=len(raw),
         )
     words = np.frombuffer(raw, dtype="<u8", count=n_records, offset=HEADER_SIZE)
+    bad = np.flatnonzero(words >> np.uint64(_RESERVED_SHIFT))
+    if bad.size:
+        raise FileFormatError(
+            f"record {bad[0]} has nonzero reserved bits",
+            offset=HEADER_SIZE + WORD_SIZE * int(bad[0]),
+        )
     widths = None
     if cal_offset:
         if cal_offset != body_end:
@@ -332,7 +324,5 @@ def read_timetag_file(path) -> tuple[TimeTagHeader, np.ndarray, np.ndarray | Non
         n_channels=n_channels,
         n_records=n_records,
         calibration_offset=cal_offset,
-        version=version,
-        flags=flags,
     )
     return header, words, widths

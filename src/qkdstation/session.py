@@ -201,7 +201,7 @@ def analyze_files(
         n_taps=header.n_taps,
         n_channels=header.n_channels,
     )
-    channel, coarse, fine, _roll = readout.unpack_words(words)
+    channel, coarse, fine, roll = readout.unpack_words(words)
     if width_block is None:
         raise StationError(
             "time-tag file carries no calibration block; cannot reconstruct"
@@ -220,10 +220,18 @@ def analyze_files(
     sync_times = np.empty(0)
     data_times, data_dets = [], []
     for c in np.unique(channel):
-        mask = channel == c
+        rows = np.flatnonzero(channel == c)
+        # a coarse decrease is a counter wrap iff the rollover parity flips
+        bad = np.flatnonzero((np.diff(coarse[rows]) < 0) != (np.diff(roll[rows]) != 0))
+        if bad.size:
+            raise FileFormatError(
+                f"channel {c} record out of order: coarse count and rollover "
+                "parity disagree",
+                offset=readout.HEADER_SIZE + readout.WORD_SIZE * int(rows[bad[0] + 1]),
+            )
         table = cal.table_from_widths(int(c), width_block[int(c)], tdc_cfg)
-        unwrapped = readout.unwrap_coarse(coarse[mask])
-        ts = reconstruct_stream(unwrapped, fine[mask], table, tdc_cfg)
+        unwrapped = readout.unwrap_coarse(coarse[rows])
+        ts = reconstruct_stream(unwrapped, fine[rows], table, tdc_cfg)
         if int(c) == SYNC_CHANNEL:
             sync_times = ts
         elif int(c) < SYNC_CHANNEL:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -175,13 +175,6 @@ def _dnl_deviations(
             rng = np.random.default_rng(seed)
             return rng.uniform(lo, hi, n) * nominal
         raise ConfigError(f"unknown dnl spec {dnl_spec!r}")
-    if isinstance(dnl_spec, Mapping):
-        dev = np.zeros(n)
-        for tap, d in dnl_spec.items():
-            if not 0 <= int(tap) < n:
-                raise ConfigError(f"dnl deviation names tap {tap} out of range")
-            dev[int(tap)] = float(d)
-        return dev
     dev = np.asarray(dnl_spec, dtype=float)
     if dev.shape != (n,):
         raise ConfigError(f"dnl deviation array must have length {n}")
@@ -198,13 +191,10 @@ def build_delay_line(
     """Construct a channel's delay line from a DNL directive.
 
     ``dnl_spec`` is ``"uniform"``, a ``"sine:..."`` / ``"random:..."``
-    directive, a mapping {tap index: deviation ps}, or a full per-tap
-    deviation array in ps. Tap delays are renormalized so they sum to
-    exactly one clock period, which closes the integral nonlinearity at
-    the period boundary.
+    directive, or a full per-tap deviation array in ps. Tap delays are
+    renormalized so they sum to exactly one clock period, which closes the
+    integral nonlinearity at the period boundary.
     """
-    if jitter_sigma < 0:
-        raise ConfigError("jitter_sigma must be nonnegative")
     dev = _dnl_deviations(config, dnl_spec, seed)
     taps = config.nominal_tap + dev
     if np.any(taps <= 0):
@@ -235,28 +225,26 @@ def gate_dead_time(
 
     Returns (boolean keep mask, time of the last accepted hit). A hit is
     kept iff it arrives at least ``dead_time`` after the previous KEPT
-    hit, which makes the gate inherently sequential.
+    hit. A hit that clears both the previous raw hit and ``last_accept``
+    clears every earlier kept hit too, so only the others are walked in
+    order.
     """
     t = np.asarray(times, dtype=float)
-    n = t.size
-    keep = np.ones(n, dtype=bool)
-    if n == 0:
+    keep = np.ones(t.size, dtype=bool)
+    if t.size == 0:
         return keep, last_accept
-    # Fast path: if every raw gap already clears the dead time, nothing
-    # can be suppressed and the scan is unnecessary.
-    if (
-        (last_accept is None or n == 0 or t[0] - last_accept >= dead_time)
-        and (n < 2 or float(np.min(np.diff(t))) >= dead_time)
-    ):
-        return keep, float(t[-1])
+    walk = np.concatenate(([False], np.diff(t) < dead_time))
+    if last_accept is not None:
+        walk |= t - last_accept < dead_time
     last = -math.inf if last_accept is None else last_accept
-    for i in range(n):
-        ti = t[i]
-        if ti - last < dead_time:
+    for i in np.flatnonzero(walk).tolist():
+        if i and not walk[i - 1]:
+            last = t[i - 1]  # kept, being unwalked
+        if t[i] - last < dead_time:
             keep[i] = False
         else:
-            last = ti
-    return keep, last
+            last = t[i]
+    return keep, last if walk[-1] else float(t[-1])
 
 
 def digitize_stream(

@@ -6,7 +6,8 @@ The pipeline digitizes, reconstructs and packs whole arrays
 agree with: a hit latches the delay line into a thermometer code, a
 majority-of-3 encoder turns the code into its fine value, and the record
 packs into one 64-bit word by explicit field checks and shifts. The
-dual-route tests compare the two field for field.
+dual-route tests compare the two field for field. The dead-time gate
+keeps its hit-by-hit loop here too, as ``reference_gate_dead_time``.
 """
 
 from __future__ import annotations
@@ -98,6 +99,23 @@ def encode_fine(code) -> int:
         else:
             hi = mid
     return lo
+
+
+def reference_gate_dead_time(times, dead_time, last_accept=None):
+    """Non-paralyzable dead-time gate, one hit at a time: a hit is kept
+    iff it arrives at least ``dead_time`` after the previous kept hit.
+    Returns (keep mask, time of the last kept hit, else ``last_accept``)."""
+    t = np.asarray(times, dtype=float)
+    keep = np.ones(t.size, dtype=bool)
+    if t.size == 0:
+        return keep, last_accept
+    last = -math.inf if last_accept is None else last_accept
+    for i in range(t.size):
+        if t[i] - last < dead_time:
+            keep[i] = False
+        else:
+            last = t[i]
+    return keep, last
 
 
 def digitize(

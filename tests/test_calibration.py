@@ -216,7 +216,8 @@ def _shares_a_cell(profile, n_cells):
 
 def _oracle_profiles():
     cfg = TdcConfig()
-    near_dead = {5: 1e-6 - cfg.nominal_tap}  # a 1e-6 ps tap: no grid splits it
+    near_dead = np.zeros(cfg.n_taps)
+    near_dead[5] = 1e-6 - cfg.nominal_tap  # a 1e-6 ps tap: no grid splits it
     profiles = {
         f"reference-ch{p.channel}": p for p in build_profiles(reference_config())
     }

@@ -1,6 +1,8 @@
 import csv
+import importlib.util
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +10,17 @@ from match_oracle import write_reference_pairs
 
 from qkdstation import session
 from qkdstation.cli import main
-from qkdstation.config import load_config, reference_config
+from qkdstation.config import load_config, reference_config, reference_config_text
 from qkdstation.errors import ConfigError
-from qkdstation.readout import FINE_BITS, HEADER_SIZE, read_timetag_file
+from qkdstation.readout import (
+    FINE_BITS,
+    HEADER_SIZE,
+    pack_words,
+    read_timetag_file,
+    unpack_words,
+    write_timetag_file,
+)
+from qkdstation.tdc import COARSE_BITS, TdcConfig
 
 SMALL_CONFIG = """
 [tdc]
@@ -152,6 +162,60 @@ class TestConfigParsing:
         )
         with pytest.raises(ConfigError, match="sync period"):
             load_config(path)
+
+
+def _bench_config_text():
+    """The config text the benchmark writes (bench/workloads.py)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.config_text(module.REFERENCE_SEED)
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            reference_config_text,
+            lambda: SMALL_CONFIG,
+            lambda: ZERO_NOISE_CONFIG,
+            _bench_config_text,
+        ],
+        ids=["reference", "small", "zero_noise", "bench"],
+    )
+    def test_shipped_and_test_configs_load(self, tmp_path, text):
+        path = tmp_path / "c.ini"
+        path.write_text(text())
+        load_config(path)
+
+    @pytest.mark.parametrize(
+        "old,new,named",
+        [
+            ("length_s = 0.002", "lenght_s = 0.002", "lenght_s"),
+            ("[output]", "[ouptut]", "[ouptut]"),
+            ("[tdc]\n", "[tdc]\ncoarse_bits = 40\n", "coarse_bits"),
+            ("[session]\n", "[DEFAULT]\nseed = 3\n[session]\n", "[DEFAULT]"),
+        ],
+    )
+    def test_unknown_key_or_section_exit_2(self, tmp_path, capsys, old, new, named):
+        text = SMALL_CONFIG + "\n[output]\nbuffer_depth = 65536\n"
+        assert text.count(old) == 1
+        path = tmp_path / "typo.ini"
+        path.write_text(text.replace(old, new))
+        assert main(["run", "--config", str(path), "--output", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown ") and named in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "text", ["x\n", "[session]\nseed = 1\nseed = 2\n", "[session]\n[session]\n"]
+    )
+    def test_malformed_ini_exit_2(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        assert main(["run", "--config", str(path), "--output", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: bad config ")
 
 
 class TestCliInit:
@@ -405,6 +469,61 @@ class TestCliRunAnalyze:
         assert main(args + ["--output", str(tmp_path / "a")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
+
+    @pytest.mark.parametrize("damage", ["reserved_bit", "reversed", "swapped_pair"])
+    def test_disordered_or_reserved_records_exit_2(
+        self, small_run, tmp_path, capsys, damage
+    ):
+        raw = bytearray((small_run / "session.qtt").read_bytes())
+        _, words, _ = read_timetag_file(small_run / "session.qtt")
+        words = words.copy()
+        if damage == "reserved_bit":
+            words[5] |= np.uint64(1) << np.uint64(60)
+            at, named = 5, "reserved bits"
+        elif damage == "reversed":
+            words = words[::-1].copy()
+            channel = unpack_words(words)[0]
+            at, named = np.flatnonzero(channel == channel.min())[1], "out of order"
+        else:
+            first, second = np.flatnonzero(unpack_words(words)[0] == 1)[:2]
+            words[[first, second]] = words[[second, first]]
+            at, named = second, "channel 1 record out of order"
+        raw[HEADER_SIZE : HEADER_SIZE + 8 * words.size] = words.tobytes()
+        bad = tmp_path / "bad.qtt"
+        bad.write_bytes(bytes(raw))
+        capsys.readouterr()
+        args = ["analyze", str(bad), str(small_run / "alice.qac")]
+        assert main(args + ["--output", str(tmp_path / "a")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert f"(byte offset {HEADER_SIZE + 8 * int(at)})" in err
+
+    @pytest.mark.parametrize(
+        "coarse,rollover,code",
+        [
+            ((2**COARSE_BITS - 2, 1, 3), (0, 1, 1), 0),  # a real counter wrap
+            ((2, 2, 3), (1, 1, 1), 0),  # equal counts, odd parity
+            ((2**COARSE_BITS - 2, 1, 3), (0, 0, 0), 2),  # decrease, no flip
+            ((1, 2, 3), (0, 1, 1), 2),  # flip, no decrease
+        ],
+    )
+    def test_rollover_parity_orders_records(
+        self, small_run, tmp_path, coarse, rollover, code
+    ):
+        # an extra channel 5, beyond the sync channel: reconstructed, never matched
+        header, words, widths = read_timetag_file(small_run / "session.qtt")
+        extra = pack_words(
+            np.full(3, 5), np.array(coarse), np.zeros(3, int), np.array(rollover)
+        )
+        cfg = TdcConfig(
+            clock_period=header.clock_period, n_taps=header.n_taps, n_channels=6
+        )
+        path = tmp_path / "extra.qtt"
+        write_timetag_file(
+            path, cfg, np.concatenate((words, extra)), np.vstack((widths, widths[:1]))
+        )
+        args = ["analyze", str(path), str(small_run / "alice.qac")]
+        assert main(args + ["--output", str(tmp_path / "a")]) == code
 
     def test_fine_code_out_of_range_exit_2(self, small_config, tmp_path):
         out = tmp_path / "out"

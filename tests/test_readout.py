@@ -100,9 +100,7 @@ class TestStream:
         # depth 4, burst of 10 simultaneous words, drain 5 words per tick:
         # 4 accepted + 6 dropped, then all 4 drain in the first tick
         arrivals = np.zeros(10)
-        buf, delivered = stream(
-            arrivals, depth=4, link_rate=5 * 8 * 1e6, word_size=8
-        )
+        buf, delivered = stream(arrivals, depth=4, link_rate=5 * 8 * 1e6)
         assert buf.drops == 6
         assert buf.delivered == 4
         assert delivered.size == 4
@@ -220,7 +218,7 @@ class TestTimeTagFile:
         path = tmp_path / "cal.qtt"
         write_timetag_file(path, cfg, np.empty(0, dtype=np.uint64), widths)
         header, _, back = read_timetag_file(path)
-        assert header.has_calibration
+        assert header.calibration_offset == 64
         np.testing.assert_array_equal(widths, back)
 
     def test_corrupt_magic_names_offset_zero(self, tmp_path):
@@ -267,6 +265,7 @@ class TestTimeTagFile:
 
 
 def test_unwrap_monotone_stream():
-    coarse = np.array([10, 5, 7, 3], dtype=np.int64)
-    un = unwrap_coarse(coarse, coarse_bits=4)
-    np.testing.assert_array_equal(un, [10, 16 + 5, 16 + 7, 32 + 3])
+    wrap = 1 << 40  # the coarse field's modulus
+    coarse = np.array([wrap - 10, 5, 7, 3], dtype=np.int64)
+    un = unwrap_coarse(coarse)
+    np.testing.assert_array_equal(un, [wrap - 10, wrap + 5, wrap + 7, 2 * wrap + 3])

@@ -8,6 +8,7 @@ from scalar_oracle import (
     digitize,
     encode_fine,
     reconstruct,
+    reference_gate_dead_time,
     sample_thermometer,
 )
 
@@ -42,7 +43,7 @@ class TestBuildDelayLine:
 
     def test_stated_perturbation(self):
         cfg = small_config()
-        p = build_delay_line(cfg, {0: -5.0, 1: +5.0})
+        p = build_delay_line(cfg, [-5.0, +5.0, 0.0, 0.0])
         np.testing.assert_allclose(p.tap_delays, [20.0, 30.0, 25.0, 25.0])
         assert p.tap_delays.sum() == pytest.approx(100.0)
 
@@ -55,9 +56,9 @@ class TestBuildDelayLine:
     def test_rejects_nonpositive_tap(self):
         cfg = small_config()
         with pytest.raises(ConfigError):
-            build_delay_line(cfg, {0: -25.0})
+            build_delay_line(cfg, [-25.0, 0.0, 0.0, 0.0])
         with pytest.raises(ConfigError):
-            build_delay_line(cfg, {2: -30.0})
+            build_delay_line(cfg, [0.0, 0.0, -30.0, 0.0])
 
     def test_rejects_negative_jitter(self):
         with pytest.raises(ConfigError):
@@ -269,6 +270,42 @@ class TestDeadTimeGate:
         keep1, last = gate_dead_time(np.array([0.0, 50_000.0]), 30_000.0)
         keep2, _ = gate_dead_time(np.array([60_000.0, 90_000.0]), 30_000.0, last)
         np.testing.assert_array_equal(keep2, [False, True])
+
+    @pytest.mark.parametrize("dead_time", [0.0, 30.0, 30_000.0])
+    def test_matches_hit_by_hit_oracle(self, dead_time):
+        rng = np.random.default_rng(int(dead_time) + 5)
+        scale = max(dead_time, 1.0)
+        for trial in range(400):
+            n = int(rng.choice([0, 1, 2, 3, int(rng.integers(4, 200))]))
+            # each gap is a duplicate, exactly the dead time, one ulp either
+            # side of it, a whole number of half dead times, or a free float
+            kinds = np.stack(
+                [
+                    np.zeros(n),
+                    np.full(n, dead_time),
+                    np.full(n, np.nextafter(dead_time, 0.0)),
+                    np.full(n, np.nextafter(dead_time, np.inf)),
+                    rng.integers(0, 4, n) * scale / 2,
+                    rng.exponential(scale, n),
+                ]
+            )
+            gaps = kinds[rng.integers(0, len(kinds), n), np.arange(n)]
+            times = 1e6 + np.cumsum(gaps)
+            t0 = times[0] if n else 1e6
+            for last_accept in (
+                None,
+                t0 - dead_time - 7.0,
+                t0 - dead_time,
+                t0 - dead_time / 2,
+                t0,
+                t0 + 2.5 * scale + 1.0,
+            ):
+                keep, last = gate_dead_time(times, dead_time, last_accept)
+                want_keep, want_last = reference_gate_dead_time(
+                    times, dead_time, last_accept
+                )
+                np.testing.assert_array_equal(keep, want_keep)
+                assert last == want_last, (trial, last_accept)
 
 
 class TestRollover:
