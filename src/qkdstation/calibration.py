@@ -32,15 +32,15 @@ from .tdc import (
 
 SQRT2 = math.sqrt(2.0)
 
-# The code-density stimulus is drawn in chunks of this many phases, which
+# The code-density stimulus is drawn in chunks of this many words, which
 # bounds its temporaries. At 128 KiB they stay clear of the allocator
 # returning them to the system: 512 KiB ones were page-faulted back in on
 # every chunk. PCG64 spends one 64-bit output per double, so the chunks
 # see exactly the stream one large draw would.
 STIMULUS_CHUNK = 1 << 14
-# The phase-lookup grid starts at this many cells per tap and doubles
-# until no cell holds two boundaries. The cap bounds its tables (16 bytes
-# a cell) and ends the doubling for boundaries no grid separates.
+# The word-lookup grid starts at 2**g >= this many cells per tap and
+# doubles until no cell holds two thresholds. The cap (8 bytes a cell)
+# ends the doubling for thresholds no grid separates.
 GRID_CELLS_PER_TAP = 4
 GRID_MAX_CELLS = 1 << 18
 # Whole taps of the precision test's default cable delay.
@@ -175,50 +175,64 @@ def uniform_phase_histogram(
 
     The stimulus is noiseless on purpose: calibration characterizes the
     static line widths, and a jitter-free source keeps the top fine code
-    unoccupied so the file-format table (n_taps widths) is lossless.
+    unoccupied so the file-format table (n_taps widths) is lossless. A
+    phase is ``rng.random() * period``, and PCG64's ``random()`` is
+    ``(w >> 11) * 2**-53`` of a raw word ``w``; codes come from the words.
     """
-    # bisection only for two boundaries closer than any grid cell
-    lookup = _grid_lookup(profile.boundaries) or partial(
-        np.searchsorted, profile.boundaries, side="right"
-    )
+    if not isinstance(rng.bit_generator, np.random.PCG64):
+        raise CalibrationError("the code-density stimulus needs a PCG64 generator")
+    thresholds = _word_thresholds(profile.boundaries, profile.period)
+    lookup = _word_lookup(thresholds, profile.n_taps)
     hist = np.zeros(profile.n_taps + 1, dtype=np.intp)
     for start in range(0, n_samples, STIMULUS_CHUNK):
-        deltas = rng.random(min(STIMULUS_CHUNK, n_samples - start)) * profile.period
-        hist += np.bincount(lookup(deltas), minlength=profile.n_taps + 1)
+        words = rng.bit_generator.random_raw(min(STIMULUS_CHUNK, n_samples - start))
+        hist += np.bincount(lookup(words), minlength=profile.n_taps + 1)
     return hist
 
 
-def _grid_lookup(boundaries: np.ndarray):
-    """Function mapping phases in [0, period] to ``searchsorted(boundaries,
-    delta, side="right")``, bit for bit, through a uniform grid over the
-    period (the last boundary); None if no grid of at most
-    ``GRID_MAX_CELLS`` cells serves.
+def _word_thresholds(boundaries: np.ndarray, period: float) -> np.ndarray:
+    """Least raw word whose phase reaches each boundary, ascending.
 
-    Cell j covers the phases x with floor(x * scale) == j. That map is
-    monotone in floating point, so every boundary in a lower cell is
-    below x and every boundary in a higher cell above it; only a boundary
-    sharing x's cell needs a comparison. ``lo[j]`` counts the boundaries
-    below cell j and ``nb[j]`` is the one inside it (+inf if none). The
-    grid doubles until no cell holds two boundaries.
+    Word w's phase ((w >> 11) * 2**-53) * period never falls as w grows,
+    so it reaches boundary b iff w >= t << 11 for the least t with
+    (t * 2**-53) * period >= b. The last boundary (the period) has none.
     """
-    m = GRID_CELLS_PER_TAP * boundaries.size
-    while m <= GRID_MAX_CELLS:
-        scale = m / float(boundaries[-1])
-        cells = (boundaries * scale).astype(np.intp)
-        if np.all(np.diff(cells) > 0):
-            lo = np.searchsorted(cells, np.arange(cells[-1] + 1))
-            nb = np.full(cells[-1] + 1, np.inf)
-            nb[cells] = boundaries
+    top = 2.0**53
+    t = np.minimum(np.floor(boundaries / period * top), top)
+    while np.any(up := (t < top) & ((t / top) * period < boundaries)):
+        t[up] += 1
+    while np.any(down := (t > 0) & (((t - 1) / top) * period >= boundaries)):
+        t[down] -= 1
+    return t[t < top].astype(np.uint64) << np.uint64(11)
 
-            def lookup(deltas):
-                cell = (deltas * scale).astype(np.intp)
-                codes = lo[cell]
-                codes += deltas >= nb[cell]
-                return codes
+
+def _word_lookup(thresholds: np.ndarray, n_taps: int):
+    """Function mapping raw words (overwritten) to ``searchsorted(thresholds,
+    w, side="right")``, bit for bit, with one gather per word; that very
+    bisection if no grid of at most ``GRID_MAX_CELLS`` cells serves.
+
+    Cell c holds the words with top g bits c; s = 64 - g. ``table[c]`` is
+    (c - thresholds in lower cells) << s, less 2**s - tau if c holds a
+    threshold with low bits tau (uint64, wrapping), so (w - table[c]) >> s
+    adds 1 iff w's low bits reach tau. Codes fit in g bits: n_taps < 2**g.
+    """
+    g = math.ceil(math.log2(GRID_CELLS_PER_TAP * n_taps))
+    while 1 << g <= GRID_MAX_CELLS:
+        s = np.uint64(64 - g)
+        cells = (thresholds >> s).astype(np.int64)
+        if np.all(np.diff(cells) > 0):
+            c, step = np.arange(1 << g), np.uint64(1) << s
+            table = (c - np.searchsorted(cells, c)).astype(np.uint64) << s
+            table[cells] -= step - thresholds % step
+
+            def lookup(words):
+                words -= np.take(table, (words >> s).view(np.int64), mode="clip")
+                words >>= s
+                return words.view(np.int64)
 
             return lookup
-        m *= 2
-    return None
+        g += 1
+    return partial(np.searchsorted, thresholds, side="right")
 
 
 def calibrate_from_stimulus(

@@ -68,15 +68,20 @@ def pack_words(
 
 def unpack_words(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized unpack to (channel, coarse, fine, rollover) arrays."""
-    w = np.asarray(words, dtype=np.uint64)
-    if w.size and np.any(w >> np.uint64(_RESERVED_SHIFT)):
-        bad = int(np.argmax(w >> np.uint64(_RESERVED_SHIFT) != 0))
-        raise PackError(f"word {bad} ({int(w[bad]):#018x}) has nonzero reserved bits")
+    w = _check_reserved(np.asarray(words, dtype=np.uint64))
     channel = ((w >> np.uint64(_CHANNEL_SHIFT)) & np.uint64(_CHANNEL_MASK)).astype(np.int64)
     coarse = ((w >> np.uint64(_COARSE_SHIFT)) & np.uint64(_COARSE_MASK)).astype(np.int64)
     fine = (w & np.uint64(_FINE_MASK)).astype(np.int64)
     rollover = ((w >> np.uint64(_ROLLOVER_SHIFT)) & np.uint64(1)).astype(np.int64)
     return channel, coarse, fine, rollover
+
+
+def _check_reserved(w: np.ndarray) -> np.ndarray:
+    """``w``, after raising PackError naming its first word with reserved bits."""
+    if np.any(w >> np.uint64(_RESERVED_SHIFT)):
+        bad = int(np.argmax(w >> np.uint64(_RESERVED_SHIFT) != 0))
+        raise PackError(f"word {bad} ({int(w[bad]):#018x}) has nonzero reserved bits")
+    return w
 
 
 def unwrap_coarse(coarse: np.ndarray) -> np.ndarray:
@@ -126,41 +131,36 @@ def stream(
     t = t[order]
     if t.size and t[0] < 0:
         raise PackError("arrival times must be nonnegative")
-    buf = ReadoutBuffer(depth=depth)
     if t.size == 0:
-        return buf, np.empty(0, dtype=np.int64)
+        return ReadoutBuffer(depth=depth), np.empty(0, dtype=np.int64)
 
     bytes_per_tick = link_rate * TICK_PS / 1e12
     n_ticks = int(np.floor(t[-1] / TICK_PS)) + 1
     # First arrival index of each tick.
     tick_of = np.floor(t / TICK_PS).astype(np.int64)
-    starts = np.searchsorted(tick_of, np.arange(n_ticks + 1))
+    starts = np.searchsorted(tick_of, np.arange(n_ticks + 1)).tolist()
 
     accepted: list[np.ndarray] = []
+    occupancy = drops = delivered = 0
     budget = 0.0
-    for tick in range(n_ticks):
-        lo, hi = starts[tick], starts[tick + 1]
-        n_new = hi - lo
-        if n_new:
-            free = depth - buf.occupancy
-            take = min(free, n_new)
+    for lo, hi in zip(starts, starts[1:]):
+        if hi > lo:
+            take = min(depth - occupancy, hi - lo)
             if take:
                 accepted.append(order[lo : lo + take])
-                buf.occupancy += take
-            buf.drops += n_new - take
-            buf.arrived += n_new
+                occupancy += take
+            drops += hi - lo - take
         budget += bytes_per_tick
-        can_drain = min(int(budget // WORD_SIZE), buf.occupancy)
+        can_drain = min(int(budget // WORD_SIZE), occupancy)
         if can_drain:
-            buf.occupancy -= can_drain
-            buf.delivered += can_drain
+            occupancy -= can_drain
+            delivered += can_drain
             budget -= can_drain * WORD_SIZE
-        if buf.occupancy == 0:
+        if occupancy == 0:
             budget = 0.0  # idle link accrues no credit
-    flat = (
-        np.concatenate(accepted) if accepted else np.empty(0, dtype=np.int64)
-    )
-    return buf, flat[: buf.delivered].astype(np.int64)
+    # the first arrival always finds room, so ``accepted`` is not empty
+    buf = ReadoutBuffer(depth, occupancy, drops, t.size, delivered)
+    return buf, np.concatenate(accepted)[:delivered].astype(np.int64)
 
 
 @dataclass
@@ -230,9 +230,10 @@ def write_timetag_file(
 ) -> None:
     """Write words (uint64 array) and, optionally, per-channel bin widths.
 
-    ``tap_widths`` has shape (n_channels, n_taps) in ps.
+    ``tap_widths`` has shape (n_channels, n_taps) in ps. A word with
+    nonzero reserved bits raises PackError, as the reader would refuse it.
     """
-    w = np.ascontiguousarray(np.asarray(words, dtype="<u8"))
+    w = _check_reserved(np.ascontiguousarray(np.asarray(words, dtype="<u8")))
     cal_offset = 0
     if tap_widths is not None:
         widths = np.asarray(tap_widths, dtype="<f8")

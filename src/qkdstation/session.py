@@ -11,14 +11,13 @@ field for field.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import calibration as cal
 from . import readout
-from .config import ExperimentConfig, RunManifest, TOOL_VERSION, file_digest, write_csv
+from .config import ExperimentConfig, RunManifest, TOOL_VERSION, file_digest
 from .errors import FileFormatError, StationError
 from .qkd import (
     DET_SYNC,
@@ -265,18 +264,13 @@ def analyze_files(
 
 def _dump_matched_pairs(path, times, detectors, clock, pulse_period, n_slots, windows):
     winners = match_slots(times, detectors, clock, pulse_period, windows[-1], n_slots)
-
-    def rows():
+    # csv.writer's bytes (no field needs quoting), formatted a window at a time
+    with open(path, "w", newline="") as fh:
+        fh.write("window_ps,pulse_index,detector,residual_ps\r\n")
         for w in windows:
-            m = winners.at(w)
-            yield from zip(
-                repeat(f"{w:.1f}"),
-                m.pulse_index.tolist(),
-                m.detector.tolist(),
-                [f"{r:.3f}" for r in m.residual.tolist()],
-            )
-
-    write_csv(path, ["window_ps", "pulse_index", "detector", "residual_ps"], rows())
+            m, label = winners.at(w), f"{w:.1f}"
+            rows = zip(m.pulse_index.tolist(), m.detector.tolist(), m.residual.tolist())
+            fh.write("".join(f"{label},{p},{d},{r:.3f}\r\n" for p, d, r in rows))
 
 
 def run_session(

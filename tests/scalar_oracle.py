@@ -7,7 +7,9 @@ agree with: a hit latches the delay line into a thermometer code, a
 majority-of-3 encoder turns the code into its fine value, and the record
 packs into one 64-bit word by explicit field checks and shifts. The
 dual-route tests compare the two field for field. The dead-time gate
-keeps its hit-by-hit loop here too, as ``reference_gate_dead_time``.
+keeps its hit-by-hit loop here too, as ``reference_gate_dead_time``, and
+the readout link its loop on ``ReadoutBuffer`` fields, as
+``reference_stream``.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 
 from qkdstation.calibration import CalibrationTable
 from qkdstation.errors import CalibrationError, ConfigError, PackError
+from qkdstation.readout import TICK_PS, WORD_SIZE, ReadoutBuffer
 from qkdstation.tdc import (
     CHANNEL_BITS,
     COARSE_BITS,
@@ -116,6 +119,50 @@ def reference_gate_dead_time(times, dead_time, last_accept=None):
         else:
             last = t[i]
     return keep, last
+
+
+def reference_stream(arrival_times, depth, link_rate):
+    """Bounded buffer and capped link, one tick at a time, updating the
+    ``ReadoutBuffer`` fields in place. Returns (buffer, delivered indices)."""
+    if depth <= 0:
+        raise PackError("buffer depth must be positive")
+    t = np.asarray(arrival_times, dtype=float)
+    order = np.argsort(t, kind="stable")
+    t = t[order]
+    if t.size and t[0] < 0:
+        raise PackError("arrival times must be nonnegative")
+    buf = ReadoutBuffer(depth=depth)
+    if t.size == 0:
+        return buf, np.empty(0, dtype=np.int64)
+
+    bytes_per_tick = link_rate * TICK_PS / 1e12
+    n_ticks = int(np.floor(t[-1] / TICK_PS)) + 1
+    tick_of = np.floor(t / TICK_PS).astype(np.int64)
+    starts = np.searchsorted(tick_of, np.arange(n_ticks + 1))
+
+    accepted = []
+    budget = 0.0
+    for tick in range(n_ticks):
+        lo, hi = starts[tick], starts[tick + 1]
+        n_new = hi - lo
+        if n_new:
+            free = depth - buf.occupancy
+            take = min(free, n_new)
+            if take:
+                accepted.append(order[lo : lo + take])
+                buf.occupancy += take
+            buf.drops += n_new - take
+            buf.arrived += n_new
+        budget += bytes_per_tick
+        can_drain = min(int(budget // WORD_SIZE), buf.occupancy)
+        if can_drain:
+            buf.occupancy -= can_drain
+            buf.delivered += can_drain
+            budget -= can_drain * WORD_SIZE
+        if buf.occupancy == 0:
+            budget = 0.0  # idle link accrues no credit
+    flat = np.concatenate(accepted) if accepted else np.empty(0, dtype=np.int64)
+    return buf, flat[: buf.delivered].astype(np.int64)
 
 
 def digitize(

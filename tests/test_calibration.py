@@ -1,4 +1,6 @@
+import hashlib
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from qkdstation.calibration import (
     GRID_CELLS_PER_TAP,
     GRID_MAX_CELLS,
     STIMULUS_CHUNK,
-    _grid_lookup,
+    _word_lookup,
+    _word_thresholds,
     calibrate_from_stimulus,
     code_density_calibrate,
     decorrelation_cable_delay,
@@ -258,13 +261,55 @@ def test_oracle_fixtures_reach_grid_doubling_and_fallback():
 
 @pytest.mark.parametrize("name", list(ORACLE_PROFILES))
 def test_grid_lookup_exact_on_and_beside_every_boundary(name):
-    # random phases almost never hit a boundary; probe each one exactly
+    # random words almost never land on a threshold; probe each one exactly
     profile = ORACLE_PROFILES[name]
-    b = profile.boundaries
-    lookup = _grid_lookup(b)
-    if name == "near-dead":
-        assert lookup is None  # uniform_phase_histogram bisects instead
-        return
-    x = np.concatenate(([0.0], b, np.nextafter(b, 0.0), np.nextafter(b, np.inf)))
-    x = x[x <= profile.period]
-    np.testing.assert_array_equal(lookup(x), np.searchsorted(b, x, side="right"))
+    b, period = profile.boundaries, profile.period
+    thresholds = _word_thresholds(b, period)
+    assert thresholds.size == profile.n_taps - 1  # the period itself is unreachable
+    lookup = _word_lookup(thresholds, profile.n_taps)
+    # no grid parts near-dead's 1e-6 ps tap: its words are bisected instead
+    assert isinstance(lookup, partial) == (name == "near-dead")
+    one = np.uint64(1)
+    # 53-bit draws near each threshold whose phase lands exactly on its boundary
+    t = (thresholds >> np.uint64(11))[:, None] + np.arange(-2, 3).astype(np.uint64)
+    exact = t[(t.astype(float) * 2.0**-53) * period == b[:-1, None]]
+    assert exact.size > 0
+    low = np.uint64(0x7FF)
+    words = np.concatenate((
+        thresholds - one, thresholds, thresholds + one,
+        exact << np.uint64(11), (exact << np.uint64(11)) | low,
+        np.array([0, 2**64 - 1], dtype=np.uint64),
+    ))
+    phases = (words >> np.uint64(11)).astype(float) * 2.0**-53 * period
+    np.testing.assert_array_equal(
+        lookup(words.copy()), np.searchsorted(b, phases, side="right")
+    )
+
+
+@pytest.mark.parametrize("n", [0, 1, 2**14 + 1])
+def test_random_is_the_top_53_bits_of_a_raw_word(n):
+    # the identity uniform_phase_histogram rests on, for derive_rng's PCG64
+    drawn, raw = derive_rng(7, "identity"), derive_rng(7, "identity")
+    np.testing.assert_array_equal(
+        drawn.random(n), (raw.bit_generator.random_raw(n) >> np.uint64(11)) * 2.0**-53
+    )
+    assert drawn.bit_generator.state == raw.bit_generator.state
+
+
+def test_stimulus_needs_a_pcg64_generator():
+    rng = np.random.Generator(np.random.MT19937(0))
+    with pytest.raises(CalibrationError, match="PCG64"):
+        uniform_phase_histogram(ORACLE_PROFILES["uniform"], 10, rng)
+
+
+def test_reference_histograms_golden():
+    # the 16 histograms depend only on PCG64 and random(): a kernel may not drift
+    cfg = reference_config()
+    digest = hashlib.sha256()
+    for p in build_profiles(cfg):
+        rng = derive_rng(cfg.seed, "calib", f"ch{p.channel}")
+        hist = uniform_phase_histogram(p, cfg.calibration_samples, rng)
+        digest.update(hist.astype("<i8").tobytes())
+    assert digest.hexdigest() == (
+        "4394bab02a5cd741ab2d77617046b9fd5870fe5df641f98818908aabecc9a97e"
+    )

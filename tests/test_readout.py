@@ -1,8 +1,12 @@
+from functools import partial
+
 import numpy as np
 import pytest
-from scalar_oracle import TdcRecord, pack, unpack
+from scalar_oracle import TdcRecord, pack, reference_stream, unpack
 
+from qkdstation.config import reference_config
 from qkdstation.errors import FileFormatError, PackError
+from qkdstation.qkd import gen_random_code
 from qkdstation.readout import (
     CounterBank,
     count_gated,
@@ -13,7 +17,35 @@ from qkdstation.readout import (
     unwrap_coarse,
     write_timetag_file,
 )
+from qkdstation.seeding import derive_rng
+from qkdstation.session import build_profiles, digitize_detections, simulate_detections
 from qkdstation.tdc import TdcConfig
+
+
+def _reference_arrivals():
+    cfg = reference_config()
+    alice = gen_random_code(
+        cfg.n_pulses, cfg.basis_bias, cfg.bit_bias, derive_rng(cfg.seed, "alice")
+    )
+    detections, _ = simulate_detections(cfg, alice)
+    arrival = digitize_detections(cfg, detections, build_profiles(cfg))[0]
+    return arrival, cfg.buffer_depth, cfg.link_rate
+
+
+def _random_stream(seed, burst):
+    rng = np.random.default_rng(seed)
+    arrivals = rng.permutation(np.cumsum(rng.exponential(0.3e6, 4000)))
+    arrivals[:burst] = arrivals[burst]  # a burst of equal arrival times
+    return arrivals, int(rng.integers(1, 40)), float(rng.uniform(5e6, 30e6))
+
+
+STREAM_CASES = {
+    "reference": _reference_arrivals,
+    # acceptance test a05: 1e7 words/s against the 35 MB/s link
+    "a05-overload": lambda: (np.repeat(np.arange(200_000) * 1e6, 10), 8192, 35e6),
+    "depth-1": lambda: (_random_stream(12, 0)[0], 1, 20e6),
+    **{f"random-{k}": partial(_random_stream, 20 + k, 50 * k) for k in range(6)},
+}
 
 
 class TestPackUnpack:
@@ -137,6 +169,21 @@ class TestStream:
         assert np.all(np.diff(delivered) > 0)
 
 
+@pytest.mark.parametrize("name", list(STREAM_CASES))
+def test_stream_matches_tick_loop_oracle(name):
+    arrivals, depth, rate = STREAM_CASES[name]()
+    buf, delivered = stream(arrivals, depth=depth, link_rate=rate)
+    ref_buf, ref_delivered = reference_stream(arrivals, depth, rate)
+    assert buf == ref_buf and buf.conserved()
+    assert all(
+        type(v) is int for v in (buf.occupancy, buf.drops, buf.arrived, buf.delivered)
+    )
+    assert delivered.dtype == ref_delivered.dtype
+    np.testing.assert_array_equal(delivered, ref_delivered)
+    if name != "reference":
+        assert buf.drops > 0
+
+
 class TestCounter:
     def test_two_hits_one_gate(self):
         cfg = TdcConfig()
@@ -257,11 +304,17 @@ class TestTimeTagFile:
     def test_file_is_little_endian_on_disk(self, tmp_path):
         cfg = TdcConfig()
         path = tmp_path / "le.qtt"
-        words = np.array([0x0102030405060708], dtype=np.uint64)
-        # the word has nonzero reserved bits on purpose; write raw
+        words = np.array([0x0002030405060708], dtype=np.uint64)
         write_timetag_file(path, cfg, words)
         raw = path.read_bytes()
-        assert raw[64:72] == bytes([8, 7, 6, 5, 4, 3, 2, 1])
+        assert raw[64:72] == bytes([8, 7, 6, 5, 4, 3, 2, 0])
+
+    def test_writer_refuses_reserved_bits(self, tmp_path):
+        path = tmp_path / "reserved.qtt"
+        words = np.array([1, 2, 1 << 55, 1 << 63], dtype=np.uint64)
+        with pytest.raises(PackError, match=r"word 2 \(0x0080000000000000\)"):
+            write_timetag_file(path, TdcConfig(), words)
+        assert not path.exists()
 
 
 def test_unwrap_monotone_stream():
