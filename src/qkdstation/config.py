@@ -238,10 +238,6 @@ def _reference_parser() -> configparser.ConfigParser:
     return parser
 
 
-def reference_config() -> ExperimentConfig:
-    return _config_from_parser(_reference_parser())
-
-
 @dataclass
 class RunManifest:
     """What a run produced: config identity, artifacts, headline metrics."""

@@ -307,23 +307,13 @@ def emit_sync(
     clock: ClockModel,
     jitter_sigma: float = 0.0,
     seed: int | np.random.Generator = 0,
-    survival: float = 1.0,
 ) -> DetectionSet:
     """Sync-laser comb as seen by the receiver's sync detector.
 
-    The sync laser is bright, so by default every pulse is detected;
-    ``survival`` < 1 thins the comb for lossy setups.
+    The sync laser is bright, so every pulse is detected.
     """
-    if not 0 < survival <= 1:
-        raise ConfigError("survival must be in (0, 1]")
     rng = np.random.default_rng(seed)
     emit = np.arange(n_sync, dtype=float) * sync_period
-    if survival < 1.0:
-        keep = rng.random(n_sync) < survival
-        emit = emit[keep]
-        index = np.flatnonzero(keep)
-    else:
-        index = np.arange(n_sync)
     t = clock.to_receiver(emit)
     if jitter_sigma > 0:
         t = t + rng.normal(0.0, jitter_sigma, emit.size)
@@ -331,7 +321,7 @@ def emit_sync(
     return DetectionSet(
         times=t[order],
         detectors=np.full(emit.size, DET_SYNC, dtype=np.uint8),
-        origins=index[order].astype(np.int64),
+        origins=order.astype(np.int64),
     )
 
 

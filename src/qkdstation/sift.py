@@ -162,6 +162,8 @@ def recover_clock(
         keep = (np.abs(res) <= tol) & (idx >= 0)
         if np.sum(keep) < 2:
             raise SyncRecoveryError("fewer than 2 sync detections survive windowing")
+        if np.ptp(idx[keep]) == 0:
+            raise SyncRecoveryError("kept sync detections all map to one comb index")
         a, b = np.polyfit(idx[keep], t[keep], 1)
         est_drift = a / sync_period - 1.0
         est_offset = b / (1.0 + est_drift)
@@ -264,25 +266,6 @@ def match_slots(
     )
 
 
-def match_pulses(
-    times: np.ndarray,
-    detectors: np.ndarray,
-    clock: ClockEstimate,
-    pulse_period: float,
-    window: float,
-    n_slots: int,
-) -> MatchResult:
-    """Assign detections to their nearest pulse slot in Alice's timebase.
-
-    A detection is kept iff its residual lies within half the coincidence
-    window; when several detections land in one slot only the smallest
-    |residual| survives (ties break on earlier time, then lower detector
-    id), so the result is independent of input ordering.
-    """
-    winners = match_slots(times, detectors, clock, pulse_period, window, n_slots)
-    return winners.at(window)
-
-
 def binary_entropy(x: float) -> float:
     """Shannon entropy of a biased coin, H2(0) = H2(1) = 0."""
     if x <= 0.0 or x >= 1.0:
@@ -347,7 +330,7 @@ def sift(
         errors_found=errors,
         qber=qber,
         sifted_rate=sifted_rate,
-        secure_rate=secure_rate(sifted_rate, qber, f_ec),
+        secure_rate=secure_rate(sifted_rate, min(qber, 0.5), f_ec),
     )
 
 

@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from shipped_config import load_reference
 
 from qkdstation.calibration import (
     calibrate_from_stimulus,
@@ -18,12 +19,11 @@ from qkdstation.calibration import (
     table_from_profile,
 )
 from qkdstation.cli import main
-from qkdstation.config import reference_config
 from qkdstation.qkd import ClockModel, emit_sync, gen_random_code, simulate_link
 from qkdstation.readout import count_gated, pack_words, read_timetag_file, stream, unpack_words, write_timetag_file
 from qkdstation.seeding import derive_rng
 from qkdstation.session import build_profiles, run_session
-from qkdstation.sift import ClockEstimate, match_pulses, recover_clock, window_scan
+from qkdstation.sift import ClockEstimate, match_slots, recover_clock, window_scan
 from qkdstation.tdc import ChannelState, TdcConfig, build_delay_line, digitize_stream
 
 
@@ -43,7 +43,7 @@ def test_a01_lsb_reproduction():
 
 
 def test_a02_rms_band_and_quantization_floor():
-    cfg = reference_config()
+    cfg = load_reference()
     profiles = build_profiles(cfg)
     delay = decorrelation_cable_delay(cfg.tdc)
     per_channel = {}
@@ -168,7 +168,7 @@ def test_a06_pack_roundtrip_million(tmp_path):
 
 
 def test_a07_reference_qkd_session(tmp_path):
-    cfg = reference_config()
+    cfg = load_reference()
     assert cfg.n_pulses == 1_000_000
     t0 = time.perf_counter()
     art = run_session(cfg, tmp_path / "session")
@@ -238,7 +238,7 @@ def test_a09_sync_recovery_corners():
         rng = np.random.default_rng(10)
         slots = np.sort(rng.choice(10**9, 100_000, replace=False)).astype(float)
         times = clock.to_receiver(slots * 10_000.0)
-        m = match_pulses(times, np.zeros(100_000, np.uint8), est, 10_000.0, window, 10**9)
+        m = match_slots(times, np.zeros(100_000, np.uint8), est, 10_000.0, window, 10**9).at(window)
         assert m.n == 100_000
         worst = max(worst, abs(float(np.mean(m.residual))))
     assert worst < window / 10.0

@@ -5,6 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 from scalar_oracle import read_calibration_csv
+from shipped_config import load_reference
 
 from qkdstation.calibration import (
     GRID_CELLS_PER_TAP,
@@ -21,7 +22,6 @@ from qkdstation.calibration import (
     uniform_phase_histogram,
     write_calibration_csv,
 )
-from qkdstation.config import reference_config
 from qkdstation.errors import CalibrationError, ConfigError
 from qkdstation.seeding import derive_rng
 from qkdstation.session import build_profiles
@@ -222,7 +222,7 @@ def _oracle_profiles():
     near_dead = np.zeros(cfg.n_taps)
     near_dead[5] = 1e-6 - cfg.nominal_tap  # a 1e-6 ps tap: no grid splits it
     profiles = {
-        f"reference-ch{p.channel}": p for p in build_profiles(reference_config())
+        f"reference-ch{p.channel}": p for p in build_profiles(load_reference())
     }
     profiles["uniform"] = build_delay_line(cfg)
     profiles["random"] = build_delay_line(cfg, "random:-0.9:0.9", seed=11)
@@ -304,7 +304,7 @@ def test_stimulus_needs_a_pcg64_generator():
 
 def test_reference_histograms_golden():
     # the 16 histograms depend only on PCG64 and random(): a kernel may not drift
-    cfg = reference_config()
+    cfg = load_reference()
     digest = hashlib.sha256()
     for p in build_profiles(cfg):
         rng = derive_rng(cfg.seed, "calib", f"ch{p.channel}")

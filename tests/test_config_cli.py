@@ -6,12 +6,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from match_oracle import write_reference_pairs
+from shipped_config import load_reference
 
 from qkdstation import session
 from qkdstation.cli import main
-from qkdstation.config import load_config, reference_config, reference_config_text
+from qkdstation.config import load_config, reference_config_text
 from qkdstation.errors import ConfigError
+from qkdstation.qkd import _SIDECAR_FIXED
 from qkdstation.readout import (
     FINE_BITS,
     HEADER_SIZE,
@@ -125,7 +129,7 @@ HEADER_FLOATS = {
 
 class TestConfigParsing:
     def test_reference_config_loads(self):
-        cfg = reference_config()
+        cfg = load_reference()
         assert cfg.tdc.n_channels == 16
         assert cfg.n_pulses == 1_000_000
         assert len(cfg.jitter_sigma) == 16
@@ -549,6 +553,31 @@ class TestCliRunAnalyze:
         assert manifest["summary"]["clock_offset_ps"] == pytest.approx(-150000.0, abs=5.0)
         assert manifest["summary"]["sifted_bits"] > 1000
 
+    def test_qber_above_half_exit_0(self, tmp_path):
+        # at seed 1 a disclosed subset measures a QBER above 1/2: no key, no error
+        path = tmp_path / "noisy.ini"
+        path.write_text(
+            SMALL_CONFIG.replace("intrinsic_error = 0.0151", "intrinsic_error = 0.5")
+            .replace("seed = 77", "seed = 1")
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--output", str(out)]) == 0
+        rows = list(csv.DictReader((out / "sift_reports.csv").open()))
+        assert any(float(r["qber"]) > 0.5 for r in rows)
+        assert all(float(r["secure_rate_bps"]) == 0.0 for r in rows)
+
+    def test_sync_period_beyond_session_exit_1(self, small_run, tmp_path, capfd):
+        # every sync maps to comb index 0: nothing to fit a drift through
+        artifact, at, _, _ = HEADER_FLOATS["sync_period"]
+        raw = bytearray((small_run / artifact).read_bytes())
+        raw[at : at + 8] = struct.pack("<d", 1e20)
+        (tmp_path / artifact).write_bytes(bytes(raw))
+        capfd.readouterr()
+        args = ["analyze", str(small_run / "session.qtt"), str(tmp_path / artifact)]
+        assert main(args + ["--output", str(tmp_path / "a")]) == 1
+        err = capfd.readouterr().err
+        assert err.startswith("analysis failed: ") and "DLASCL" not in err
+
     def test_dead_link_no_key_exit_1(self, tmp_path):
         path = tmp_path / "dead.ini"
         path.write_text(
@@ -558,3 +587,46 @@ class TestCliRunAnalyze:
         assert main(["run", "--config", str(path), "--output", str(out)]) == 1
         # partial artifacts retained
         assert (out / "session.qtt").is_file()
+
+
+# bytes that count as header in each artifact; damage elsewhere hits the body
+HEADER_BYTES = {"session.qtt": HEADER_SIZE, "alice.qac": _SIDECAR_FIXED.size}
+
+
+class TestAnalyzeNeverRaises:
+    """Whatever the damage to a run's artifacts, analyze ends in an exit
+    code (0 ok, 1 analysis failed, 2 bad input), never in a traceback."""
+
+    @settings(
+        max_examples=150,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        artifact=st.sampled_from(sorted(HEADER_BYTES)),
+        edits=st.lists(
+            st.tuples(st.booleans(), st.integers(0, 2**32), st.integers(0, 255)),
+            min_size=1,
+            max_size=4,
+        ),
+        cut=st.none() | st.integers(0, 2**32),
+    )
+    @example(
+        artifact="alice.qac",
+        edits=[(True, 16 + i, b) for i, b in enumerate(struct.pack("<d", 1e20))],
+        cut=None,
+    )
+    def test_damaged_artifacts_exit_0_1_or_2(
+        self, small_run, tmp_path, artifact, edits, cut
+    ):
+        raw = bytearray((small_run / artifact).read_bytes())
+        for in_header, at, value in edits:
+            raw[at % (HEADER_BYTES[artifact] if in_header else len(raw))] = value
+        if cut is not None:
+            raw = raw[: cut % (len(raw) + 1)]
+        (tmp_path / artifact).write_bytes(bytes(raw))
+        paths = {a: str(small_run / a) for a in HEADER_BYTES}
+        paths[artifact] = str(tmp_path / artifact)
+        args = ["analyze", paths["session.qtt"], paths["alice.qac"]]
+        assert main(args + ["--output", str(tmp_path / "a")]) in (0, 1, 2)

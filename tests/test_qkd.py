@@ -204,11 +204,6 @@ class TestEmitSync:
         displacement = det.times[-1] - (n - 1) * period
         assert displacement == pytest.approx(1e12 * 10e-6, rel=1e-9)
 
-    def test_survival_thins_comb(self):
-        det = emit_sync(10_000, 1e6, ClockModel(), seed=1, survival=0.5)
-        assert 4500 < det.n < 5500
-        assert np.all(np.diff(det.times) > 0)
-
 
 class TestSidecar:
     def test_roundtrip(self, tmp_path):

@@ -3,8 +3,8 @@ from functools import partial
 import numpy as np
 import pytest
 from scalar_oracle import TdcRecord, pack, reference_stream, unpack
+from shipped_config import load_reference
 
-from qkdstation.config import reference_config
 from qkdstation.errors import FileFormatError, PackError
 from qkdstation.qkd import gen_random_code
 from qkdstation.readout import (
@@ -23,7 +23,7 @@ from qkdstation.tdc import TdcConfig
 
 
 def _reference_arrivals():
-    cfg = reference_config()
+    cfg = load_reference()
     alice = gen_random_code(
         cfg.n_pulses, cfg.basis_bias, cfg.bit_bias, derive_rng(cfg.seed, "alice")
     )

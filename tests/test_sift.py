@@ -8,7 +8,6 @@ from qkdstation.sift import (
     ClockEstimate,
     MatchResult,
     binary_entropy,
-    match_pulses,
     match_slots,
     recover_clock,
     secure_rate,
@@ -68,28 +67,34 @@ class TestRecoverClock:
             recover_clock(np.arange(10) * 1e6, 1e6, coarse_offset_bound=6e5)
 
     def test_lossy_comb_still_locks(self):
-        det = emit_sync(5000, 1e6, make_clock(offset=1e5), seed=4, survival=0.6)
+        det = emit_sync(5000, 1e6, make_clock(offset=1e5))
+        det = det.select(np.random.default_rng(4).random(5000) < 0.6)
         est = recover_clock(det.times, 1e6, coarse_offset_bound=4e5)
         assert est.offset_hat == pytest.approx(1e5, abs=1e-3)
+
+    def test_syncs_on_one_comb_index_raise(self):
+        # a sync period beyond the session span folds every sync onto index 0
+        with pytest.raises(SyncRecoveryError, match="one comb index"):
+            recover_clock(np.arange(5000) * 2e6 + 2e5, 1e20, 4e5)
 
 
 class TestMatchPulses:
     def test_inside_window_matched(self):
-        m = match_pulses(
+        m = match_slots(
             np.array([10_000.0 + 400.0]), np.array([0]), IDENTITY, 10_000.0, 1000.0, 10
-        )
+        ).at(1000.0)
         assert m.n == 1 and m.pulse_index[0] == 1
         assert m.residual[0] == pytest.approx(400.0)
 
     def test_outside_window_unmatched(self):
-        m = match_pulses(
+        m = match_slots(
             np.array([10_000.0 + 2000.0]), np.array([0]), IDENTITY, 10_000.0, 1000.0, 10
-        )
+        ).at(1000.0)
         assert m.n == 0
 
     def test_tie_keeps_smallest_residual(self):
         times = np.array([50_000.0 + 100.0, 50_000.0 - 300.0])
-        m = match_pulses(times, np.array([0, 1]), IDENTITY, 10_000.0, 1000.0, 10)
+        m = match_slots(times, np.array([0, 1]), IDENTITY, 10_000.0, 1000.0, 10).at(1000.0)
         assert m.n == 1
         assert m.residual[0] == pytest.approx(100.0)
         assert m.detector[0] == 0
@@ -97,15 +102,15 @@ class TestMatchPulses:
 
     def test_window_too_wide_rejected(self):
         with pytest.raises(ConfigError):
-            match_pulses(np.array([1.0]), np.array([0]), IDENTITY, 10_000.0, 5000.0, 10)
+            match_slots(np.array([1.0]), np.array([0]), IDENTITY, 10_000.0, 5000.0, 10).at(5000.0)
 
     def test_order_independence(self):
         rng = np.random.default_rng(5)
         times = rng.random(2000) * 1e7
         dets = rng.integers(0, 4, 2000).astype(np.uint8)
-        m1 = match_pulses(times, dets, IDENTITY, 10_000.0, 1000.0, 1000)
+        m1 = match_slots(times, dets, IDENTITY, 10_000.0, 1000.0, 1000).at(1000.0)
         perm = rng.permutation(2000)
-        m2 = match_pulses(times[perm], dets[perm], IDENTITY, 10_000.0, 1000.0, 1000)
+        m2 = match_slots(times[perm], dets[perm], IDENTITY, 10_000.0, 1000.0, 1000).at(1000.0)
         assert np.array_equal(m1.pulse_index, m2.pulse_index)
         assert np.array_equal(m1.detector, m2.detector)
         np.testing.assert_allclose(m1.residual, m2.residual)
@@ -116,13 +121,13 @@ class TestMatchPulses:
         dets = rng.integers(0, 4, 5000).astype(np.uint8)
         pairs = []
         for w in (400.0, 900.0, 2000.0):
-            m = match_pulses(times, dets, IDENTITY, 10_000.0, w, 1000)
+            m = match_slots(times, dets, IDENTITY, 10_000.0, w, 1000).at(w)
             pairs.append(set(zip(m.pulse_index.tolist(), m.detector.tolist())))
         assert pairs[0] <= pairs[1] <= pairs[2]
 
     def test_slot_bounds_respected(self):
         times = np.array([-5_000.0, 0.0, 99_999.0 * 10_000.0])
-        m = match_pulses(times, np.zeros(3, np.uint8), IDENTITY, 10_000.0, 1000.0, 10)
+        m = match_slots(times, np.zeros(3, np.uint8), IDENTITY, 10_000.0, 1000.0, 10).at(1000.0)
         # only the detection at t=0 maps to a valid slot
         assert m.n == 1 and m.pulse_index[0] == 0
 
@@ -173,6 +178,14 @@ class TestSift:
         assert report.disclosed == 1000
         assert report.errors_found == 17
         assert report.qber == pytest.approx(0.017)
+
+    def test_qber_above_half_leaves_no_key(self):
+        n = 1000
+        alice = AliceBlock(bases=np.zeros(n, np.uint8), bits=np.zeros(n, np.uint8))
+        match = ideal_match(n, np.ones(n, np.uint8), np.zeros(n, np.uint8))
+        report = sift(match, alice, disclose_fraction=1.0, seed=12)
+        assert report.qber == 1.0
+        assert report.secure_rate == 0.0
 
     def test_disclosed_bits_leave_key(self):
         alice = gen_random_code(1000, 1.0, 0.5, seed=13)
@@ -290,7 +303,7 @@ class TestClockMatchConsistency:
         n = 50_000
         sig_alice = np.arange(n, dtype=float) * 10_000.0
         times = clock.to_receiver(sig_alice)
-        m = match_pulses(times, np.zeros(n, np.uint8), est, 10_000.0, 1000.0, n)
+        m = match_slots(times, np.zeros(n, np.uint8), est, 10_000.0, 1000.0, n).at(1000.0)
         assert m.n == n
         assert abs(float(np.mean(m.residual))) < 1.0
 
@@ -324,7 +337,7 @@ class TestOneSortMatchOracle:
         for w in DENSE_WINDOWS:
             want = reference_match_pulses(times, dets, clock, 10_000.0, w, 200)
             assert_same_match(winners.at(w), want)
-            assert_same_match(match_pulses(times, dets, clock, 10_000.0, w, 200), want)
+            assert_same_match(match_slots(times, dets, clock, 10_000.0, w, 200).at(w), want)
 
     def test_fixtures_reach_ties_duplicates_and_crowding(self):
         times, dets = match_fixture(0)
