@@ -73,13 +73,12 @@ class PrecisionReport:
 
     channel_pair: tuple[int, int]
     raw_std: float  # ps, std of the measured interval (two channels)
-    per_channel_rms: float  # ps, raw_std / sqrt(2)
     n_samples: int
     mean_interval: float  # ps
 
-    def __post_init__(self):
-        if not math.isclose(self.per_channel_rms, self.raw_std / SQRT2, rel_tol=1e-12):
-            raise ConfigError("per_channel_rms must equal raw_std / sqrt(2)")
+    @property
+    def per_channel_rms(self) -> float:
+        return self.raw_std / SQRT2  # ps
 
 
 def _table_from_widths(
@@ -309,7 +308,6 @@ def precision_test(
     return PrecisionReport(
         channel_pair=pair,
         raw_std=raw_std,
-        per_channel_rms=raw_std / SQRT2,
         n_samples=n,
         mean_interval=float(np.mean(diff)),
     )

@@ -12,6 +12,7 @@ import configparser
 import csv
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -89,6 +90,8 @@ class ExperimentConfig:
             )
         if any(not 0 <= c < self.tdc.n_channels for c in self.enabled_channels):
             raise ConfigError("enabled channel id out of range")
+        if any(not 0 <= c < self.tdc.n_channels for pair in self.precision.pairs for c in pair):
+            raise ConfigError("precision pair channel id out of range")
         if 2 * self.offset_bound >= self.link.sync_period:
             raise ConfigError(
                 "offset_bound must be below half the sync period for "
@@ -124,8 +127,17 @@ class ExperimentConfig:
         return tuple((c, c + 1) for c in range(0, n, 2))
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.replace(",", " ").split())
+def _float(sec, key, default) -> float:
+    """``sec[key]``, or ``default`` when it is absent, as a finite float."""
+    value = float(sec.get(key, default))
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, not {value}")
+    return value
+
+
+def _floats(sec, key, default="") -> tuple[float, ...]:
+    # each listed value is checked as if it were the key's only value
+    return tuple(_float({key: x}, key, x) for x in sec.get(key, default).replace(",", " ").split())
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -153,31 +165,31 @@ def load_config(path) -> ExperimentConfig:
 def _config_from_parser(p: configparser.ConfigParser) -> ExperimentConfig:
     tdc_sec = p["tdc"] if p.has_section("tdc") else {}
     tdc = TdcConfig(
-        clock_period=float(tdc_sec.get("clock_period_ps", 6250.0)),
+        clock_period=_float(tdc_sec, "clock_period_ps", 6250.0),
         n_taps=int(tdc_sec.get("n_taps", 261)),
         n_channels=int(tdc_sec.get("n_channels", 16)),
-        dead_time=float(tdc_sec.get("dead_time_ps", 30_000.0)),
+        dead_time=_float(tdc_sec, "dead_time_ps", 30_000.0),
     )
     link_sec = p["link"] if p.has_section("link") else {}
     link = LinkModel(
-        loss_db=float(link_sec.get("loss_db", 10.0)),
-        background_rate=float(link_sec.get("background_rate_hz", 30_000.0)),
-        pulse_period=float(link_sec.get("pulse_period_ps", 10_000.0)),
-        sync_period=float(link_sec.get("sync_period_ps", 2_000_000.0)),
-        mean_photon_number=float(link_sec.get("mean_photon_number", 0.5)),
+        loss_db=_float(link_sec, "loss_db", 10.0),
+        background_rate=_float(link_sec, "background_rate_hz", 30_000.0),
+        pulse_period=_float(link_sec, "pulse_period_ps", 10_000.0),
+        sync_period=_float(link_sec, "sync_period_ps", 2_000_000.0),
+        mean_photon_number=_float(link_sec, "mean_photon_number", 0.5),
     )
     det_sec = p["detectors"] if p.has_section("detectors") else {}
     detectors = DetectorModel(
-        efficiency=float(det_sec.get("efficiency", 0.5)),
-        dark_rate=float(det_sec.get("dark_rate_hz", 1000.0)),
-        jitter_sigma=float(det_sec.get("jitter_sigma_ps", 60.0)),
-        det_dead_time=float(det_sec.get("dead_time_ps", 50_000.0)),
-        intrinsic_error=float(det_sec.get("intrinsic_error", 0.015)),
+        efficiency=_float(det_sec, "efficiency", 0.5),
+        dark_rate=_float(det_sec, "dark_rate_hz", 1000.0),
+        jitter_sigma=_float(det_sec, "jitter_sigma_ps", 60.0),
+        det_dead_time=_float(det_sec, "dead_time_ps", 50_000.0),
+        intrinsic_error=_float(det_sec, "intrinsic_error", 0.015),
     )
     clk_sec = p["clock"] if p.has_section("clock") else {}
     clock = ClockModel(
-        offset=float(clk_sec.get("offset_ps", 0.0)),
-        drift_ppm=float(clk_sec.get("drift_ppm", 0.0)),
+        offset=_float(clk_sec, "offset_ps", 0.0),
+        drift_ppm=_float(clk_sec, "drift_ppm", 0.0),
     )
     ses = p["session"] if p.has_section("session") else {}
     if "seed" not in ses:
@@ -191,36 +203,36 @@ def _config_from_parser(p: configparser.ConfigParser) -> ExperimentConfig:
         pairs = tuple(zip(flat[::2], flat[1::2]))
     cable_raw = prec_sec.get("cable_delay_ps", "").strip() if prec_sec else ""
     precision = PrecisionSettings(
-        period=float(prec_sec.get("period_ps", 100_000.0)),
-        cable_delay=float(cable_raw) if cable_raw and cable_raw.lower() != "auto" else None,
+        period=_float(prec_sec, "period_ps", 100_000.0),
+        cable_delay=_float(prec_sec, "cable_delay_ps", None) if cable_raw and cable_raw.lower() != "auto" else None,
         n_pulses=int(prec_sec.get("n_pulses", 100_000)),
         pairs=pairs,
     )
     enabled: tuple[int, ...] = ()
     if "enabled" in tdc_sec and tdc_sec["enabled"].strip().lower() != "all":
         enabled = _ints(tdc_sec["enabled"])
-    windows = _floats(ses.get("windows_ps", "1000"))
+    windows = _floats(ses, "windows_ps", "1000")
     return ExperimentConfig(
         tdc=tdc,
         link=link,
         detectors=detectors,
         clock=clock,
         dnl_spec=tdc_sec.get("dnl", "uniform").strip(),
-        jitter_sigma=_floats(tdc_sec.get("jitter_sigma_ps", "")) if tdc_sec.get("jitter_sigma_ps") else (),
+        jitter_sigma=_floats(tdc_sec, "jitter_sigma_ps"),
         enabled_channels=enabled,
-        offset_bound=float(clk_sec.get("offset_bound_ps", 450_000.0)),
-        session_length_s=float(ses.get("length_s", 0.01)),
-        basis_bias=float(ses.get("basis_bias", 0.5)),
-        bit_bias=float(ses.get("bit_bias", 0.5)),
-        disclose_fraction=float(ses.get("disclose_fraction", 0.1)),
+        offset_bound=_float(clk_sec, "offset_bound_ps", 450_000.0),
+        session_length_s=_float(ses, "length_s", 0.01),
+        basis_bias=_float(ses, "basis_bias", 0.5),
+        bit_bias=_float(ses, "bit_bias", 0.5),
+        disclose_fraction=_float(ses, "disclose_fraction", 0.1),
         windows=windows,
-        analysis_window=float(ses.get("analysis_window_ps", windows[0])),
-        f_ec=float(ses.get("f_ec", 1.16)),
-        sync_jitter_sigma=float(ses.get("sync_jitter_sigma_ps", 60.0)),
+        analysis_window=_float(ses, "analysis_window_ps", windows[0] if windows else 0.0),
+        f_ec=_float(ses, "f_ec", 1.16),
+        sync_jitter_sigma=_float(ses, "sync_jitter_sigma_ps", 60.0),
         seed=int(ses["seed"]),
         calibration_samples=int(ses.get("calibration_samples", 1_000_000)),
         buffer_depth=int(p.get("output", "buffer_depth", fallback=65_536)),
-        link_rate=float(p.get("output", "link_rate_bytes_per_s", fallback=35e6)),
+        link_rate=_float(p["output"] if p.has_section("output") else {}, "link_rate_bytes_per_s", 35e6),
         precision=precision,
     )
 

@@ -237,7 +237,7 @@ def analyze_files(
             data_times.append(ts)
             data_dets.append(np.full(ts.size, int(c), dtype=np.uint8))
 
-    clock = recover_clock(np.sort(sync_times), meta.sync_period, meta.offset_bound)
+    clock = recover_clock(sync_times, meta.sync_period, meta.offset_bound)
     if data_times:
         dtimes = np.concatenate(data_times)
         ddets = np.concatenate(data_dets)

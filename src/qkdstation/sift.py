@@ -14,7 +14,7 @@ is the whole point of good timing resolution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -74,9 +74,14 @@ class SiftReport:
             raise ConfigError("qber must equal errors_found / disclosed")
 
 
-@dataclass
+@dataclass(frozen=True)
 class MatchResult:
-    """Detections matched to pulse slots, sorted by slot index."""
+    """Detections matched to pulse slots, sorted by slot index.
+
+    :func:`match_slots` builds it at the widest window with one sort that
+    puts each slot's smallest |residual| first, so a narrower window keeps
+    that winner or nothing: :meth:`at` narrows it without matching again.
+    """
 
     pulse_index: np.ndarray
     detector: np.ndarray
@@ -84,12 +89,23 @@ class MatchResult:
     window: float
     pulse_period: float
     n_slots: int
-    n_input: int
-    multi_slot_dropped: int
 
     @property
     def n(self) -> int:
         return self.pulse_index.size
+
+    def at(self, window: float) -> MatchResult:
+        """The match at ``window``, no wider than the one matched."""
+        if window > self.window:
+            raise ConfigError(f"window {window} ps is wider than the {self.window} ps matched")
+        keep = np.abs(self.residual) <= window / 2
+        return replace(
+            self,
+            pulse_index=self.pulse_index[keep],
+            detector=self.detector[keep],
+            residual=self.residual[keep],
+            window=window,
+        )
 
 
 def recover_clock(
@@ -137,13 +153,9 @@ def recover_clock(
             f"detections (background level {mean_level:.1f})"
         )
     r0 = 0.5 * (edges[peak_bin] + edges[peak_bin + 1])
-    # Unique congruent offset inside the GPS bound.
+    # |offset0| <= P/2, so offset0 +- P never lies nearer the GPS bound.
     offset0 = r0 - sync_period * round(r0 / sync_period)
-    for cand in (offset0, offset0 + sync_period, offset0 - sync_period):
-        if abs(cand) <= coarse_offset_bound + bin_width:
-            offset0 = cand
-            break
-    else:
+    if abs(offset0) > coarse_offset_bound + bin_width:
         raise SyncRecoveryError(
             f"correlation peak at {offset0:.0f} ps lies outside the "
             f"+-{coarse_offset_bound:.0f} ps offset bound"
@@ -152,77 +164,41 @@ def recover_clock(
     # Stage 3: least-squares fit of t = a*i + b with a = P(1+d), b = o(1+d),
     # run twice: a wide gate seeded by the histogram, then a tight gate
     # sized from the first fit's residual spread.
-    est_offset, est_drift = offset0, drift0
+    offset, drift = offset0, drift0
     tol = 2.0 * bin_width
-    used = t
     for _ in range(2):
-        scale = 1.0 + est_drift
-        idx = np.round((t / scale - est_offset) / sync_period)
-        res = t / scale - est_offset - idx * sync_period
+        idx, res = _comb_residuals(t, sync_period, offset, drift)
         keep = (np.abs(res) <= tol) & (idx >= 0)
         if np.sum(keep) < 2:
             raise SyncRecoveryError("fewer than 2 sync detections survive windowing")
         if np.ptp(idx[keep]) == 0:
             raise SyncRecoveryError("kept sync detections all map to one comb index")
         a, b = np.polyfit(idx[keep], t[keep], 1)
-        est_drift = a / sync_period - 1.0
-        est_offset = b / (1.0 + est_drift)
-        used = t[keep]
-        fit_res = t[keep] / (1.0 + est_drift) - est_offset - idx[keep] * sync_period
-        spread = float(np.sqrt(np.mean(fit_res**2)))
-        tol = max(5.0 * spread, 1e-6 * sync_period)
-
-    scale = 1.0 + est_drift
-    idx = np.round((used / scale - est_offset) / sync_period)
-    res = used / scale - est_offset - idx * sync_period
+        drift = a / sync_period - 1.0
+        offset = b / (1.0 + drift)
+        _, res = _comb_residuals(t[keep], sync_period, offset, drift)
+        rms = float(np.sqrt(np.mean(res**2)))
+        tol = max(5.0 * rms, 1e-6 * sync_period)
     return ClockEstimate(
-        offset_hat=float(est_offset),
-        drift_hat_ppm=float(est_drift * 1e6),
-        residual_rms=float(np.sqrt(np.mean(res**2))),
-        n_sync_used=int(used.size),
+        offset_hat=float(offset),
+        drift_hat_ppm=float(drift * 1e6),
+        residual_rms=rms,
+        n_sync_used=int(np.count_nonzero(keep)),
     )
+
+
+def _comb_residuals(t, period, offset, drift):
+    """Nearest comb index of each time under ``t = (i*period + offset) *
+    (1 + drift)``, and its residual in Alice's time (ps)."""
+    u = t / (1.0 + drift) - offset
+    idx = np.round(u / period)
+    return idx, u - idx * period
 
 
 def _check_window(window: float, pulse_period: float) -> None:
     if not 0 < window < pulse_period / 2:
         raise ConfigError(
             f"window {window} ps must lie in (0, pulse_period/2 = {pulse_period / 2})"
-        )
-
-
-@dataclass(frozen=True)
-class SlotWinners:
-    """The best detection of every pulse slot within the widest window.
-
-    Built by :func:`match_slots` with one sort. Within a slot the sort
-    puts the smallest |residual| first, so at any narrower window a slot
-    keeps that same winner if it still fits, or nothing: :meth:`at`
-    selects a window's match without matching again.
-    """
-
-    pulse_index: np.ndarray
-    detector: np.ndarray
-    residual: np.ndarray  # ps
-    candidate_abs: np.ndarray  # sorted |residual| of every in-range candidate
-    pulse_period: float
-    n_slots: int
-    n_input: int
-
-    def at(self, window: float) -> MatchResult:
-        """The match at ``window``, no wider than the one built for."""
-        half = window / 2
-        keep = np.abs(self.residual) <= half
-        n_candidates = int(np.searchsorted(self.candidate_abs, half, side="right"))
-        n_kept = int(np.count_nonzero(keep))
-        return MatchResult(
-            pulse_index=self.pulse_index[keep],
-            detector=self.detector[keep],
-            residual=self.residual[keep],
-            window=window,
-            pulse_period=self.pulse_period,
-            n_slots=self.n_slots,
-            n_input=self.n_input,
-            multi_slot_dropped=n_candidates - n_kept,
         )
 
 
@@ -233,7 +209,7 @@ def match_slots(
     pulse_period: float,
     widest: float,
     n_slots: int,
-) -> SlotWinners:
+) -> MatchResult:
     """Map detections to Alice's pulse slots and pick each slot's winner
     among those within ``widest``; ties break on earlier time, then lower
     detector id, so the result is independent of input ordering.
@@ -248,21 +224,19 @@ def match_slots(
 
     slot, residual = slot[inside], residual[inside]
     det_in, t_in = det[inside], t[inside]
-    abs_res = np.abs(residual)
-    order = np.lexsort((det_in, t_in, abs_res, slot))
+    order = np.lexsort((det_in, t_in, np.abs(residual), slot))
     slot, residual = slot[order], residual[order]
     det_in = det_in[order]
     first = np.ones(slot.size, dtype=bool)
     first[1:] = slot[1:] != slot[:-1]
 
-    return SlotWinners(
+    return MatchResult(
         pulse_index=slot[first],
         detector=det_in[first],
         residual=residual[first],
-        candidate_abs=np.sort(abs_res),
+        window=widest,
         pulse_period=pulse_period,
         n_slots=n_slots,
-        n_input=int(t.size),
     )
 
 

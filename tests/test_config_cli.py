@@ -221,6 +221,29 @@ class TestConfigKeys:
         assert main(["run", "--config", str(path), "--output", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error: bad config ")
 
+    @pytest.mark.parametrize(
+        "command,old,new,named",
+        [
+            ("run", "windows_ps = 500, 1000, 2000", "windows_ps =", "window"),
+            ("run", "background_rate_hz = 30000.0", "background_rate_hz = nan", "background_rate_hz"),
+            ("run", "loss_db = 6.0", "loss_db = nan", "loss_db"),
+            ("run", "[tdc]\n", "[tdc]\nclock_period_ps = nan\n", "clock_period_ps"),
+            ("run", "drift_ppm = 3.0", "drift_ppm = nan", "drift_ppm"),
+            ("precision", "pairs = 0 1, 2 3", "pairs = 0, 5", "pair"),
+            ("precision", "pairs = 0 1, 2 3", "pairs = 0, -1", "pair"),
+        ],
+        ids=["no_windows", "nan_background", "nan_loss", "nan_clock", "nan_drift",
+             "pair_too_high", "pair_negative"],
+    )
+    def test_bad_value_exit_2(self, tmp_path, capsys, command, old, new, named):
+        assert SMALL_CONFIG.count(old) == 1
+        path = tmp_path / "bad.ini"
+        path.write_text(SMALL_CONFIG.replace(old, new))
+        assert main([command, "--config", str(path), "--output", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestCliInit:
     def test_init_writes_reference(self, tmp_path, capsys):

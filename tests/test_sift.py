@@ -98,11 +98,15 @@ class TestMatchPulses:
         assert m.n == 1
         assert m.residual[0] == pytest.approx(100.0)
         assert m.detector[0] == 0
-        assert m.multi_slot_dropped == 1
 
     def test_window_too_wide_rejected(self):
         with pytest.raises(ConfigError):
             match_slots(np.array([1.0]), np.array([0]), IDENTITY, 10_000.0, 5000.0, 10).at(5000.0)
+
+    def test_wider_than_matched_rejected(self):
+        m = match_slots(np.array([10_000.0 + 700.0]), np.array([0]), IDENTITY, 10_000.0, 1000.0, 10)
+        with pytest.raises(ConfigError, match="wider than"):
+            m.at(2000.0)
 
     def test_order_independence(self):
         rng = np.random.default_rng(5)
@@ -142,8 +146,6 @@ def ideal_match(n, detector_bits, bases):
         window=1000.0,
         pulse_period=10_000.0,
         n_slots=n,
-        n_input=n,
-        multi_slot_dropped=0,
     )
 
 
@@ -343,21 +345,22 @@ class TestOneSortMatchOracle:
         times, dets = match_fixture(0)
         want = reference_match_pulses(times, dets, IDENTITY, 10_000.0, 1000.0, 200)
         assert np.any(np.abs(want.residual) == 500.0)
-        assert want.multi_slot_dropped > 0
-        assert np.unique(times).size < times.size
         slot = np.round(times / 10_000.0)
+        # some in-range slot holds two or more in-window candidates
+        fits = (np.abs(times - slot * 10_000.0) <= 500.0) & (slot >= 0) & (slot < 200)
+        assert np.max(np.unique(slot[fits], return_counts=True)[1]) >= 2
+        assert np.unique(times).size < times.size
         assert np.any(slot < 0) and np.any(slot >= 200)
 
     def test_tie_at_half_window_is_kept(self):
-        # residuals exactly +-w/2 are inside; the losing candidate on the
-        # boundary still counts as dropped
+        # residuals exactly +-w/2 are inside, and a slot's closer candidate
+        # beats one on the boundary
         times = np.array([500.0, 10_000.0 - 500.0, 10_000.0 + 100.0, 20_000.0 + 501.0])
         dets = np.array([0, 1, 2, 3], dtype=np.uint8)
         winners = match_slots(times, dets, IDENTITY, 10_000.0, 1002.0, 5)
         for w in (1000.0, 1002.0):
             want = reference_match_pulses(times, dets, IDENTITY, 10_000.0, w, 5)
             assert_same_match(winners.at(w), want)
-        assert want.multi_slot_dropped == 1
 
     def test_empty_input(self):
         empty = np.empty(0)
