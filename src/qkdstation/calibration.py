@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -32,17 +31,6 @@ from .tdc import (
 
 SQRT2 = math.sqrt(2.0)
 
-# The code-density stimulus is drawn in chunks of this many words, which
-# bounds its temporaries. At 128 KiB they stay clear of the allocator
-# returning them to the system: 512 KiB ones were page-faulted back in on
-# every chunk. PCG64 spends one 64-bit output per double, so the chunks
-# see exactly the stream one large draw would.
-STIMULUS_CHUNK = 1 << 14
-# The word-lookup grid starts at 2**g >= this many cells per tap and
-# doubles until no cell holds two thresholds. The cap (8 bytes a cell)
-# ends the doubling for thresholds no grid separates.
-GRID_CELLS_PER_TAP = 4
-GRID_MAX_CELLS = 1 << 18
 # Whole taps of the precision test's default cable delay.
 CABLE_DELAY_TAPS = 125
 
@@ -174,64 +162,14 @@ def uniform_phase_histogram(
 
     The stimulus is noiseless on purpose: calibration characterizes the
     static line widths, and a jitter-free source keeps the top fine code
-    unoccupied so the file-format table (n_taps widths) is lossless. A
-    phase is ``rng.random() * period``, and PCG64's ``random()`` is
-    ``(w >> 11) * 2**-53`` of a raw word ``w``; codes come from the words.
+    unoccupied so the file-format table (n_taps widths) is lossless. The
+    counts of N phases uniform over the period are Multinomial(N,
+    tap_delays / period) in distribution, so they are drawn as one
+    multinomial over the real taps, in O(n_taps) for any generator.
     """
-    if not isinstance(rng.bit_generator, np.random.PCG64):
-        raise CalibrationError("the code-density stimulus needs a PCG64 generator")
-    thresholds = _word_thresholds(profile.boundaries, profile.period)
-    lookup = _word_lookup(thresholds, profile.n_taps)
     hist = np.zeros(profile.n_taps + 1, dtype=np.intp)
-    for start in range(0, n_samples, STIMULUS_CHUNK):
-        words = rng.bit_generator.random_raw(min(STIMULUS_CHUNK, n_samples - start))
-        hist += np.bincount(lookup(words), minlength=profile.n_taps + 1)
+    hist[:-1] = rng.multinomial(n_samples, profile.tap_delays / profile.period)
     return hist
-
-
-def _word_thresholds(boundaries: np.ndarray, period: float) -> np.ndarray:
-    """Least raw word whose phase reaches each boundary, ascending.
-
-    Word w's phase ((w >> 11) * 2**-53) * period never falls as w grows,
-    so it reaches boundary b iff w >= t << 11 for the least t with
-    (t * 2**-53) * period >= b. The last boundary (the period) has none.
-    """
-    top = 2.0**53
-    t = np.minimum(np.floor(boundaries / period * top), top)
-    while np.any(up := (t < top) & ((t / top) * period < boundaries)):
-        t[up] += 1
-    while np.any(down := (t > 0) & (((t - 1) / top) * period >= boundaries)):
-        t[down] -= 1
-    return t[t < top].astype(np.uint64) << np.uint64(11)
-
-
-def _word_lookup(thresholds: np.ndarray, n_taps: int):
-    """Function mapping raw words (overwritten) to ``searchsorted(thresholds,
-    w, side="right")``, bit for bit, with one gather per word; that very
-    bisection if no grid of at most ``GRID_MAX_CELLS`` cells serves.
-
-    Cell c holds the words with top g bits c; s = 64 - g. ``table[c]`` is
-    (c - thresholds in lower cells) << s, less 2**s - tau if c holds a
-    threshold with low bits tau (uint64, wrapping), so (w - table[c]) >> s
-    adds 1 iff w's low bits reach tau. Codes fit in g bits: n_taps < 2**g.
-    """
-    g = math.ceil(math.log2(GRID_CELLS_PER_TAP * n_taps))
-    while 1 << g <= GRID_MAX_CELLS:
-        s = np.uint64(64 - g)
-        cells = (thresholds >> s).astype(np.int64)
-        if np.all(np.diff(cells) > 0):
-            c, step = np.arange(1 << g), np.uint64(1) << s
-            table = (c - np.searchsorted(cells, c)).astype(np.uint64) << s
-            table[cells] -= step - thresholds % step
-
-            def lookup(words):
-                words -= np.take(table, (words >> s).view(np.int64), mode="clip")
-                words >>= s
-                return words.view(np.int64)
-
-            return lookup
-        g += 1
-    return partial(np.searchsorted, thresholds, side="right")
 
 
 def calibrate_from_stimulus(

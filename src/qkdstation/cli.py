@@ -15,6 +15,7 @@ calibration), 2 configuration or file-format error.
 from __future__ import annotations
 
 import argparse
+import shutil
 import sys
 from pathlib import Path
 
@@ -171,9 +172,15 @@ def cmd_analyze(args) -> int:
                     f"--windows item {item!r} is not a number"
                 ) from None
     out = Path(args.output or "out")
+    made = [d for d in (out, *out.parents) if not d.exists()]
     out.mkdir(parents=True, exist_ok=True)
     pairs_out = out / "matched_pairs.csv" if args.dump_pairs else None
-    reports, clock = analyze_files(args.timetag, args.sidecar, windows, pairs_out)
+    try:
+        reports, clock = analyze_files(args.timetag, args.sidecar, windows, pairs_out)
+    except BaseException:
+        if made:  # a failed analysis leaves no directory of its own making
+            shutil.rmtree(made[-1])
+        raise
     path = out / "sift_reports.csv"
     write_sift_csv(reports, path)
     if pairs_out is not None:

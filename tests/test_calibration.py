@@ -1,6 +1,5 @@
 import hashlib
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -8,11 +7,6 @@ from scalar_oracle import read_calibration_csv
 from shipped_config import load_reference
 
 from qkdstation.calibration import (
-    GRID_CELLS_PER_TAP,
-    GRID_MAX_CELLS,
-    STIMULUS_CHUNK,
-    _word_lookup,
-    _word_thresholds,
     calibrate_from_stimulus,
     code_density_calibrate,
     decorrelation_cable_delay,
@@ -212,15 +206,10 @@ def _a04_line(cfg):
     return build_delay_line(cfg, dev * cfg.nominal_tap)
 
 
-def _shares_a_cell(profile, n_cells):
-    cells = (profile.boundaries * (n_cells / profile.period)).astype(np.intp)
-    return bool(np.any(np.diff(cells) == 0))
-
-
 def _oracle_profiles():
     cfg = TdcConfig()
     near_dead = np.zeros(cfg.n_taps)
-    near_dead[5] = 1e-6 - cfg.nominal_tap  # a 1e-6 ps tap: no grid splits it
+    near_dead[5] = 1e-6 - cfg.nominal_tap  # a 1e-6 ps tap: a ~1.6e-10 share
     profiles = {
         f"reference-ch{p.channel}": p for p in build_profiles(load_reference())
     }
@@ -232,78 +221,96 @@ def _oracle_profiles():
 
 
 ORACLE_PROFILES = _oracle_profiles()
-ORACLE_SIZES = sorted(
-    {0, 1, 2**16 - 1, 2**16, 2**16 + 1, 1_000_000}
-    | {STIMULUS_CHUNK - 1, STIMULUS_CHUNK, STIMULUS_CHUNK + 1}
-)
 
 
 @pytest.mark.parametrize("name", list(ORACLE_PROFILES))
 def test_stimulus_histogram_matches_searchsorted_oracle(name):
+    # N uniform phases bin as Multinomial(N, tap_delays / period): check the
+    # first two moments of every code over many seeds against that law, then
+    # one draw against N phases binned by searchsorted over the boundaries
     profile = ORACLE_PROFILES[name]
-    for n in ORACLE_SIZES:
-        hist = uniform_phase_histogram(profile, n, derive_rng(5, "oracle", name))
-        rng = derive_rng(5, "oracle", name)
-        deltas = rng.random(n) * profile.period
-        codes = np.searchsorted(profile.boundaries, deltas, side="right")
-        oracle = np.bincount(codes, minlength=profile.n_taps + 1)
-        assert hist.dtype == oracle.dtype
-        np.testing.assert_array_equal(hist, oracle, err_msg=f"n={n}")
-
-
-def test_oracle_fixtures_reach_grid_doubling_and_fallback():
-    start = GRID_CELLS_PER_TAP * TdcConfig().n_taps
-    assert not _shares_a_cell(ORACLE_PROFILES["uniform"], start)
-    assert _shares_a_cell(ORACLE_PROFILES["a04"], start)  # the grid must double
-    assert not _shares_a_cell(ORACLE_PROFILES["a04"], GRID_MAX_CELLS)
-    assert _shares_a_cell(ORACLE_PROFILES["near-dead"], GRID_MAX_CELLS)  # bisection
+    n, seeds = 1_000_000, 400
+    hists = np.array([
+        uniform_phase_histogram(profile, n, derive_rng(s, "multinomial", name))
+        for s in range(seeds)
+    ])
+    assert hists.dtype == np.intp
+    assert np.all(hists.sum(axis=1) == n)
+    assert np.all(hists[:, -1] == 0)  # no tap above the period
+    p = profile.tap_delays / profile.period
+    live = n * p > 1.0
+    if name == "near-dead":
+        # a 1.6e-10 share: 0.064 hits expected over all seeds, P(>= 3) = 4e-5
+        assert np.flatnonzero(~live).tolist() == [5] and p[5] < 1e-9
+        assert hists[:, 5].sum() <= 2
+    else:
+        assert live.all()
+    # 5 standard errors, not 4: 261 codes x 20 profiles are compared,
+    # and at 4 one of them would miss by chance in about one stream in four
+    expected, var = n * p[live], n * p[live] * (1.0 - p[live])
+    mean = hists[:, :-1][:, live].mean(axis=0)
+    assert np.all(np.abs(mean - expected) <= 5.0 * np.sqrt(var / seeds))
+    # sample variance: relative standard error sqrt(2 / (seeds - 1))
+    ratio = hists[:, :-1][:, live].var(axis=0, ddof=1) / var
+    assert np.all(np.abs(ratio - 1.0) <= 5.0 * math.sqrt(2.0 / (seeds - 1)))
+    rng = derive_rng(5, "oracle", name)
+    phases = rng.random(n) * profile.period
+    codes = np.searchsorted(profile.boundaries, phases, side="right")
+    oracle = np.bincount(codes, minlength=profile.n_taps + 1)
+    assert oracle[-1] == 0 and oracle[~np.append(live, True)].sum() <= 2
+    # two independent draws of one law: each code's difference has
+    # variance 2·N·p(1 − p), and their squared sum is chi-square(#live)
+    z = (hists[0, :-1][live] - oracle[:-1][live]) / np.sqrt(2.0 * var)
+    assert np.all(np.abs(z) <= 5.0)
+    df = int(live.sum())
+    assert abs(float(z @ z) - df) <= 5.0 * math.sqrt(2.0 * df)
 
 
 @pytest.mark.parametrize("name", list(ORACLE_PROFILES))
 def test_grid_lookup_exact_on_and_beside_every_boundary(name):
-    # random words almost never land on a threshold; probe each one exactly
+    # the bins the multinomial draws are half-open, [b[k-1], b[k]): a hit
+    # digitized exactly on a boundary has passed that cell. Probe every
+    # reachable boundary on and a few ulps either side of it
     profile = ORACLE_PROFILES[name]
-    b, period = profile.boundaries, profile.period
-    thresholds = _word_thresholds(b, period)
-    assert thresholds.size == profile.n_taps - 1  # the period itself is unreachable
-    lookup = _word_lookup(thresholds, profile.n_taps)
-    # no grid parts near-dead's 1e-6 ps tap: its words are bisected instead
-    assert isinstance(lookup, partial) == (name == "near-dead")
-    one = np.uint64(1)
-    # 53-bit draws near each threshold whose phase lands exactly on its boundary
-    t = (thresholds >> np.uint64(11))[:, None] + np.arange(-2, 3).astype(np.uint64)
-    exact = t[(t.astype(float) * 2.0**-53) * period == b[:-1, None]]
-    assert exact.size > 0
-    low = np.uint64(0x7FF)
-    words = np.concatenate((
-        thresholds - one, thresholds, thresholds + one,
-        exact << np.uint64(11), (exact << np.uint64(11)) | low,
-        np.array([0, 2**64 - 1], dtype=np.uint64),
-    ))
-    phases = (words >> np.uint64(11)).astype(float) * 2.0**-53 * period
-    np.testing.assert_array_equal(
-        lookup(words.copy()), np.searchsorted(b, phases, side="right")
-    )
+    cfg = TdcConfig(dead_time=0.0)  # every probe is its own accepted hit
+    b = profile.boundaries[:-1]  # the period itself is unreachable
+    t0 = cfg.clock_period - b
+    # steps of the coarser ulp of t and delta, so both stay exact and
+    # delta = clock_period - t moves by one step per probe
+    step = np.spacing(np.maximum(t0, b))
+    t = t0[:, None] + np.arange(-2, 3) * step[:, None]
+    delta = cfg.clock_period - t
+    assert (delta < b[:, None]).any(axis=1).all()
+    assert (delta > b[:, None]).any(axis=1).all()
+    # most boundaries are hit exactly by one of their probes
+    assert (delta == b[:, None]).any(axis=1).sum() >= b.size // 2
+    order = np.argsort(t, axis=None)
+    t, delta = t.ravel()[order], delta.ravel()[order]
+    batch = digitize_stream(t, profile, ChannelState(), cfg)
+    assert batch.fine.size == t.size and np.all(batch.coarse == 1)
+    # "past exactly those cells whose boundary is <= delta", by definition
+    passed = (profile.boundaries[None, :] <= delta[:, None]).sum(axis=1)
+    np.testing.assert_array_equal(batch.fine, passed)
 
 
-@pytest.mark.parametrize("n", [0, 1, 2**14 + 1])
-def test_random_is_the_top_53_bits_of_a_raw_word(n):
-    # the identity uniform_phase_histogram rests on, for derive_rng's PCG64
-    drawn, raw = derive_rng(7, "identity"), derive_rng(7, "identity")
-    np.testing.assert_array_equal(
-        drawn.random(n), (raw.bit_generator.random_raw(n) >> np.uint64(11)) * 2.0**-53
-    )
-    assert drawn.bit_generator.state == raw.bit_generator.state
+def test_stimulus_same_seed_same_histogram():
+    profile = ORACLE_PROFILES["a04"]
+    a = uniform_phase_histogram(profile, 10**6, derive_rng(3, "repeat"))
+    b = uniform_phase_histogram(profile, 10**6, derive_rng(3, "repeat"))
+    np.testing.assert_array_equal(a, b)
+    c = uniform_phase_histogram(profile, 10**6, derive_rng(4, "repeat"))
+    assert not np.array_equal(a, c)
 
 
-def test_stimulus_needs_a_pcg64_generator():
+def test_stimulus_accepts_any_generator():
+    profile = ORACLE_PROFILES["uniform"]
     rng = np.random.Generator(np.random.MT19937(0))
-    with pytest.raises(CalibrationError, match="PCG64"):
-        uniform_phase_histogram(ORACLE_PROFILES["uniform"], 10, rng)
+    hist = uniform_phase_histogram(profile, 10**6, rng)
+    assert hist.sum() == 10**6 and hist[-1] == 0 and hist[:-1].min() > 0
 
 
 def test_reference_histograms_golden():
-    # the 16 histograms depend only on PCG64 and random(): a kernel may not drift
+    # the 16 reference histograms behind every shipped artifact
     cfg = load_reference()
     digest = hashlib.sha256()
     for p in build_profiles(cfg):
@@ -311,5 +318,5 @@ def test_reference_histograms_golden():
         hist = uniform_phase_histogram(p, cfg.calibration_samples, rng)
         digest.update(hist.astype("<i8").tobytes())
     assert digest.hexdigest() == (
-        "4394bab02a5cd741ab2d77617046b9fd5870fe5df641f98818908aabecc9a97e"
+        "6f91889fc84fbc438712e369f656078cfad7bb325a4f7fc5d4f98fc3a5fb4ca4"
     )

@@ -1,6 +1,7 @@
 import csv
 import importlib.util
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -573,7 +574,18 @@ class TestCliRunAnalyze:
         out = tmp_path / "out"
         assert main(["run", "--config", str(path), "--output", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["summary"]["clock_offset_ps"] == pytest.approx(-150000.0, abs=5.0)
+        cfg = load_config(path)
+        _, clock = session.analyze_files(out / "session.qtt", out / "alice.qac")
+        # error budget: the fit's intercept at comb index 0, the edge of the
+        # data (variance 4 sigma_r^2 / n), and the code-density table's
+        # common offset T / sqrt(12 N)
+        sigma = math.hypot(
+            2.0 * clock.residual_rms / math.sqrt(clock.n_sync_used),
+            cfg.tdc.clock_period / math.sqrt(12.0 * cfg.calibration_samples),
+        )
+        assert sigma < 10.0  # a broken fit may not widen its own bound
+        offset = manifest["summary"]["clock_offset_ps"]
+        assert abs(offset + 150000.0) <= 4.0 * sigma
         assert manifest["summary"]["sifted_bits"] > 1000
 
     def test_qber_above_half_exit_0(self, tmp_path):
@@ -600,6 +612,21 @@ class TestCliRunAnalyze:
         assert main(args + ["--output", str(tmp_path / "a")]) == 1
         err = capfd.readouterr().err
         assert err.startswith("analysis failed: ") and "DLASCL" not in err
+        assert not (tmp_path / "a").exists()
+
+    def test_failed_analyze_leaves_no_output_dir(self, small_run, tmp_path, capfd):
+        short = tmp_path / "session.qtt"
+        short.write_bytes((small_run / "session.qtt").read_bytes()[:100])
+        args = ["analyze", str(short), str(small_run / "alice.qac"), "--output"]
+        assert main(args + [str(tmp_path / "new" / "out")]) == 2
+        assert "truncated body" in capfd.readouterr().err
+        assert not (tmp_path / "new").exists()
+        # a directory that was there before the call is left as it was
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        (kept / "note.txt").write_text("mine")
+        assert main(args + [str(kept)]) == 2
+        assert (kept / "note.txt").read_text() == "mine"
 
     def test_dead_link_no_key_exit_1(self, tmp_path):
         path = tmp_path / "dead.ini"

@@ -2,6 +2,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from qkdstation.errors import ConfigError, FileFormatError
@@ -218,6 +221,36 @@ class TestSidecar:
             windows=(500.0, 1000.0, 2000.0),
         )
         path = tmp_path / "alice.qac"
+        write_alice_sidecar(path, alice, meta)
+        back, meta2 = read_alice_sidecar(path)
+        assert np.array_equal(back.bases, alice.bases)
+        assert np.array_equal(back.bits, alice.bits)
+        assert meta2 == meta
+
+    @settings(
+        max_examples=100,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        codes=arrays(np.uint8, st.integers(0, 2000), elements=st.integers(0, 3)),
+        meta=st.builds(
+            SidecarMeta,
+            pulse_period=st.floats(0.0, 1e300, exclude_min=True, allow_infinity=False),
+            sync_period=st.floats(0.0, 1e300, exclude_min=True, allow_infinity=False),
+            offset_bound=st.floats(0.0, 1e300, allow_infinity=False),
+            disclose_fraction=st.floats(0.0, 1.0),
+            f_ec=st.floats(1.0, 1e300, allow_infinity=False),
+            root_seed=st.integers(0, 2**64 - 1),
+            windows=st.lists(
+                st.floats(0.0, 1e300, exclude_min=True, allow_infinity=False), max_size=30
+            ).map(tuple),
+        ),
+    )
+    def test_write_then_read_roundtrip(self, tmp_path, codes, meta):
+        alice = AliceBlock(bases=codes >> 1, bits=codes & 1)
+        path = tmp_path / "prop.qac"
         write_alice_sidecar(path, alice, meta)
         back, meta2 = read_alice_sidecar(path)
         assert np.array_equal(back.bases, alice.bases)

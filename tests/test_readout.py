@@ -2,6 +2,9 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scalar_oracle import TdcRecord, pack, reference_stream, unpack
 from shipped_config import load_reference
 
@@ -19,7 +22,7 @@ from qkdstation.readout import (
 )
 from qkdstation.seeding import derive_rng
 from qkdstation.session import build_profiles, digitize_detections, simulate_detections
-from qkdstation.tdc import TdcConfig
+from qkdstation.tdc import CHANNEL_BITS, FINE_BITS, TdcConfig
 
 
 def _reference_arrivals():
@@ -235,7 +238,48 @@ class TestCounter:
             count_gated(np.array([1.0]), np.array([0]), 0.0, 1, TdcConfig())
 
 
+@st.composite
+def timetag_contents(draw):
+    """A board config, valid words and an optional width block."""
+    cfg = TdcConfig(
+        clock_period=draw(st.floats(1.0, 1e9, allow_nan=False)),
+        n_taps=draw(st.integers(2, (1 << FINE_BITS) - 1)),
+        n_channels=draw(st.integers(1, 1 << CHANNEL_BITS)),
+    )
+    # any word with its reserved bits [55..64) clear is a valid record
+    words = draw(arrays(np.uint64, st.integers(0, 300), elements=st.integers(0, 2**55 - 1)))
+    widths = draw(st.none() | arrays(
+        np.float64,
+        (cfg.n_channels, cfg.n_taps),
+        elements=st.just(-0.0) | st.floats(0.0, 1e300, allow_infinity=False),
+    ))
+    return cfg, words, widths
+
+
 class TestTimeTagFile:
+    @settings(
+        max_examples=100,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(contents=timetag_contents())
+    def test_write_then_read_roundtrip(self, tmp_path, contents):
+        cfg, words, widths = contents
+        path = tmp_path / "prop.qtt"
+        write_timetag_file(path, cfg, words, widths)
+        header, back, back_widths = read_timetag_file(path)
+        assert (header.clock_period, header.n_taps, header.n_channels) == (
+            cfg.clock_period, cfg.n_taps, cfg.n_channels
+        )
+        assert header.n_records == words.size
+        assert back.dtype == np.dtype("<u8") and back.tobytes() == words.tobytes()
+        if widths is None:
+            assert back_widths is None and header.calibration_offset == 0
+        else:
+            assert header.calibration_offset == 64 + 8 * words.size
+            assert back_widths.tobytes() == widths.tobytes()
+
     def test_empty_roundtrip(self, tmp_path):
         cfg = TdcConfig()
         path = tmp_path / "empty.qtt"
