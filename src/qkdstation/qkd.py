@@ -347,7 +347,20 @@ class SidecarMeta:
     windows: tuple[float, ...]
 
 
+def _check_sidecar_header(pulse_period, sync_period, offset_bound, f_ec) -> None:
+    """The header ranges that both the writer and the reader enforce."""
+    for name, value, at, in_range in (
+        ("pulse period", pulse_period, 8, pulse_period > 0),
+        ("sync period", sync_period, 16, sync_period > 0),
+        ("offset bound", offset_bound, 24, offset_bound >= 0),
+        ("f_ec", f_ec, 40, f_ec >= 1),
+    ):
+        if not (in_range and math.isfinite(value)):
+            raise FileFormatError(f"sidecar {name} {value} is out of range", offset=at)
+
+
 def write_alice_sidecar(path, alice: AliceBlock, meta: SidecarMeta) -> None:
+    _check_sidecar_header(meta.pulse_period, meta.sync_period, meta.offset_bound, meta.f_ec)
     header = _SIDECAR_FIXED.pack(
         SIDECAR_MAGIC,
         SIDECAR_VERSION,
@@ -390,14 +403,7 @@ def read_alice_sidecar(path) -> tuple[AliceBlock, SidecarMeta]:
         raise FileFormatError(f"bad sidecar magic {magic!r}", offset=0)
     if version != SIDECAR_VERSION:
         raise FileFormatError(f"unsupported sidecar version {version}", offset=4)
-    for name, value, at, in_range in (
-        ("pulse period", pulse_period, 8, pulse_period > 0),
-        ("sync period", sync_period, 16, sync_period > 0),
-        ("offset bound", offset_bound, 24, offset_bound >= 0),
-        ("f_ec", f_ec, 40, f_ec >= 1),
-    ):
-        if not (in_range and math.isfinite(value)):
-            raise FileFormatError(f"sidecar {name} {value} is out of range", offset=at)
+    _check_sidecar_header(pulse_period, sync_period, offset_bound, f_ec)
     off = _SIDECAR_FIXED.size
     need = off + 8 * n_windows + n_pulses
     if len(raw) < need:

@@ -230,8 +230,9 @@ def write_timetag_file(
 ) -> None:
     """Write words (uint64 array) and, optionally, per-channel bin widths.
 
-    ``tap_widths`` has shape (n_channels, n_taps) in ps. A word with
-    nonzero reserved bits raises PackError, as the reader would refuse it.
+    ``tap_widths`` has shape (n_channels, n_taps) in ps. What the reader
+    refuses raises before the file is opened: a word with nonzero reserved
+    bits PackError, a negative or non-finite width FileFormatError.
     """
     w = _check_reserved(np.ascontiguousarray(np.asarray(words, dtype="<u8")))
     cal_offset = 0
@@ -243,6 +244,7 @@ def write_timetag_file(
                 f"got {widths.shape}"
             )
         cal_offset = HEADER_SIZE + w.size * WORD_SIZE
+        _check_widths(widths.ravel(), cal_offset)
     header = _HEADER.pack(
         TIMETAG_MAGIC,
         TIMETAG_VERSION,
@@ -311,13 +313,7 @@ def read_timetag_file(path) -> tuple[TimeTagHeader, np.ndarray, np.ndarray | Non
                 offset=len(raw),
             )
         widths = np.frombuffer(raw, dtype="<f8", count=need, offset=cal_offset)
-        bad = np.flatnonzero(~np.isfinite(widths) | (widths < 0))
-        if bad.size:
-            raise FileFormatError(
-                f"calibration width {widths[bad[0]]} is not a finite "
-                "nonnegative number",
-                offset=cal_offset + 8 * int(bad[0]),
-            )
+        _check_widths(widths, cal_offset)
         widths = widths.reshape(n_channels, n_taps)
     header = TimeTagHeader(
         clock_period=clock_period,
@@ -327,3 +323,13 @@ def read_timetag_file(path) -> tuple[TimeTagHeader, np.ndarray, np.ndarray | Non
         calibration_offset=cal_offset,
     )
     return header, words, widths
+
+
+def _check_widths(widths: np.ndarray, offset: int) -> None:
+    """FileFormatError at the first negative or non-finite width of a block at ``offset``."""
+    bad = np.flatnonzero(~np.isfinite(widths) | (widths < 0))
+    if bad.size:
+        raise FileFormatError(
+            f"calibration width {widths[bad[0]]} is not a finite nonnegative number",
+            offset=offset + 8 * int(bad[0]),
+        )

@@ -76,16 +76,16 @@ class SiftReport:
 
 @dataclass(frozen=True)
 class MatchResult:
-    """Detections matched to pulse slots, sorted by slot index.
+    """Detections matched to pulse slots, one winner per slot, by slot.
 
-    :func:`match_slots` builds it at the widest window with one sort that
-    puts each slot's smallest |residual| first, so a narrower window keeps
-    that winner or nothing: :meth:`at` narrows it without matching again.
+    :func:`match_slots` builds it at the widest window: a stable sort by
+    slot, then a ``lexsort`` of the crowded slots only. A narrower window
+    keeps each winner or nothing, so :meth:`at` narrows it in one mask.
     """
 
     pulse_index: np.ndarray
     detector: np.ndarray
-    residual: np.ndarray  # ps, detection minus slot center in Alice time
+    residual: np.ndarray  # ps, detection minus slot center in Alice time, within +-window/2
     window: float
     pulse_period: float
     n_slots: int
@@ -222,18 +222,23 @@ def match_slots(
     residual = u - slot * pulse_period
     inside = (np.abs(residual) <= widest / 2) & (slot >= 0) & (slot < n_slots)
 
-    slot, residual = slot[inside], residual[inside]
-    det_in, t_in = det[inside], t[inside]
-    order = np.lexsort((det_in, t_in, np.abs(residual), slot))
-    slot, residual = slot[order], residual[order]
-    det_in = det_in[order]
-    first = np.ones(slot.size, dtype=bool)
-    first[1:] = slot[1:] != slot[:-1]
+    # stable and cheap on per-channel time-ordered runs; only crowded
+    # slots (two or more candidates) need the tie-breaking keys below
+    order = np.flatnonzero(inside)
+    order = order[np.argsort(slot[order], kind="stable")]
+    slot = slot[order]
+    first = np.diff(slot, prepend=-1) != 0
+    crowded = ~(first & (np.diff(slot, append=n_slots) != 0))
+    # idx keeps input order within a slot, as one full lexsort would
+    idx = order[crowded]
+    keys = (det[idx], t[idx], np.abs(residual[idx]), slot[crowded])
+    order[crowded] = idx[np.lexsort(keys)]
+    win = order[first]
 
     return MatchResult(
         pulse_index=slot[first],
-        detector=det_in[first],
-        residual=residual[first],
+        detector=det[win],
+        residual=residual[win],
         window=widest,
         pulse_period=pulse_period,
         n_slots=n_slots,
@@ -272,40 +277,45 @@ def sift(
     in the open; those bits are spent (excluded from the key) and their
     error fraction is the QBER estimate.
     """
+    rngs = [np.random.default_rng(seed)]
+    return _sift_windows(match, alice, [match.window], rngs, disclose_fraction, f_ec)[0]
+
+
+def _sift_windows(match, alice, windows, rngs, disclose_fraction, f_ec) -> list[SiftReport]:
+    """Reconcile bases once, then per window one |residual| mask and one rng draw."""
     if not 0 < disclose_fraction <= 1:
         raise ConfigError("disclose_fraction must lie in (0, 1]")
     if match.n and int(match.detector.max()) > 3:
         raise ConfigError("sync detections must not enter sifting")
     if match.n and int(match.pulse_index.max()) >= alice.n:
         raise ConfigError("alice code does not cover all matched pulse indices")
-
-    bob_basis = match.detector >> 1
-    bob_bit = match.detector & 1
-    same = bob_basis == alice.bases[match.pulse_index]
-    wrong = bob_bit[same] != alice.bits[match.pulse_index[same]]
-
-    sifted = int(np.sum(same))
-    n_disclose = int(round(disclose_fraction * sifted))
-    rng = np.random.default_rng(seed)
-    if n_disclose > 0:
-        pick = rng.choice(sifted, size=n_disclose, replace=False)
-        errors = int(np.sum(wrong[pick]))
-        qber = errors / n_disclose
-    else:
-        errors, qber = 0, 0.0
-
+    same = (match.detector >> 1) == alice.bases[match.pulse_index]
+    wrong = ((match.detector & 1) != alice.bits[match.pulse_index])[same]
+    res = np.abs(match.residual)
+    res_sifted = res[same]
     duration_s = match.n_slots * match.pulse_period / 1e12
-    sifted_rate = sifted / duration_s if duration_s > 0 else 0.0
-    return SiftReport(
-        window=match.window,
-        matched=match.n,
-        sifted_bits=sifted,
-        disclosed=n_disclose,
-        errors_found=errors,
-        qber=qber,
-        sifted_rate=sifted_rate,
-        secure_rate=secure_rate(sifted_rate, min(qber, 0.5), f_ec),
-    )
+    reports = []
+    for window, rng in zip(windows, rngs):
+        key_wrong = wrong[res_sifted <= window / 2]  # the sifted bits, in key order
+        sifted = key_wrong.size
+        n_disclose = int(round(disclose_fraction * sifted))
+        pick = rng.choice(sifted, size=n_disclose, replace=False) if n_disclose else []
+        errors = int(np.count_nonzero(key_wrong[pick]))
+        qber = errors / n_disclose if n_disclose else 0.0
+        sifted_rate = sifted / duration_s if duration_s > 0 else 0.0
+        reports.append(
+            SiftReport(
+                window=window,
+                matched=int(np.count_nonzero(res <= window / 2)),
+                sifted_bits=sifted,
+                disclosed=n_disclose,
+                errors_found=errors,
+                qber=qber,
+                sifted_rate=sifted_rate,
+                secure_rate=secure_rate(sifted_rate, min(qber, 0.5), f_ec),
+            )
+        )
+    return reports
 
 
 def window_scan(
@@ -323,8 +333,9 @@ def window_scan(
 
     Windows must be ascending; wider windows admit a superset of the
     matched pairs, so matched counts are nondecreasing while background
-    admission (and with it the expected QBER) grows. Every window reads
-    one shared match built for the widest.
+    admission (and with it the expected QBER) grows. One match at the
+    widest window is basis-reconciled once; each window then costs one
+    mask over the sifted winners' |residual| and its disclosure draw.
     """
     w = [float(x) for x in windows]
     if not w:
@@ -334,11 +345,8 @@ def window_scan(
     for window in w:
         _check_window(window, pulse_period)
     winners = match_slots(times, detectors, clock, pulse_period, w[-1], alice.n)
-    reports = []
-    for i, window in enumerate(w):
-        rng = derive_rng(seed, "disclose", f"w{i}")
-        reports.append(sift(winners.at(window), alice, disclose_fraction, rng, f_ec))
-    return reports
+    rngs = (derive_rng(seed, "disclose", f"w{i}") for i in range(len(w)))
+    return _sift_windows(winners, alice, w, rngs, disclose_fraction, f_ec)
 
 
 def write_sift_csv(reports, path) -> None:

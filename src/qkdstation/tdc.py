@@ -52,8 +52,8 @@ class TdcConfig:
     dead_time: float = 30_000.0  # ps
 
     def __post_init__(self):
-        if self.clock_period <= 0:
-            raise ConfigError("clock_period must be positive")
+        if not (math.isfinite(self.clock_period) and self.clock_period > 0):
+            raise ConfigError("clock_period must be a finite positive number")
         if self.n_taps < 2:
             raise ConfigError("need at least 2 taps")
         if self.n_taps >= 1 << FINE_BITS:

@@ -1,9 +1,13 @@
-"""Per-window reference matcher: the oracle for the one-sort window scan.
+"""Per-window reference matcher: the oracle for the window scan.
 
-``reference_match_pulses`` is the matcher as it was before the scan
-shared one sort across windows: every call maps, filters and sorts the
-whole input again for its own window. The scan must agree with it field
-for field at every window.
+The scan matches once at the widest window: one stable sort of the
+candidates by slot, a ``lexsort`` of only the slots holding two or more,
+bases reconciled once, and per window one |residual| mask plus the
+disclosure draw. ``reference_match_pulses`` does none of that sharing:
+every call maps, filters and fully ``lexsort``s the whole input again for
+its own window, and ``reference_window_scan`` sifts each such match on
+its own with ``reference_sift``, which shares no code with ``sift``. The
+scan must agree with it field for field at every window.
 """
 
 import csv
@@ -11,7 +15,7 @@ import csv
 import numpy as np
 
 from qkdstation.seeding import derive_rng
-from qkdstation.sift import MatchResult, sift
+from qkdstation.sift import MatchResult, SiftReport, secure_rate
 
 
 def reference_match_pulses(times, detectors, clock, pulse_period, window, n_slots):
@@ -43,14 +47,41 @@ def reference_match_pulses(times, detectors, clock, pulse_period, window, n_slot
 def reference_window_scan(
     times, detectors, clock, pulse_period, alice, windows, disclose_fraction, seed, f_ec
 ):
-    """One reference match and one ``sift`` per window, disclosure stream
-    labelled by window position as ``window_scan`` labels it."""
+    """One reference match and one ``reference_sift`` per window,
+    disclosure stream labelled by window position as ``window_scan``
+    labels it."""
     reports = []
     for i, w in enumerate(windows):
         m = reference_match_pulses(times, detectors, clock, pulse_period, w, alice.n)
         rng = derive_rng(seed, "disclose", f"w{i}")
-        reports.append(sift(m, alice, disclose_fraction, rng, f_ec))
+        reports.append(reference_sift(m, alice, disclose_fraction, rng, f_ec))
     return reports
+
+
+def reference_sift(match, alice, disclose_fraction, rng, f_ec):
+    """Sift one match on its own: reconcile every pair, no window mask."""
+    same = (match.detector >> 1) == alice.bases[match.pulse_index]
+    wrong = (match.detector & 1)[same] != alice.bits[match.pulse_index[same]]
+    sifted = int(np.sum(same))
+    n_disclose = int(round(disclose_fraction * sifted))
+    if n_disclose > 0:
+        pick = rng.choice(sifted, size=n_disclose, replace=False)
+        errors = int(np.sum(wrong[pick]))
+        qber = errors / n_disclose
+    else:
+        errors, qber = 0, 0.0
+    duration_s = match.n_slots * match.pulse_period / 1e12
+    sifted_rate = sifted / duration_s if duration_s > 0 else 0.0
+    return SiftReport(
+        window=match.window,
+        matched=match.n,
+        sifted_bits=sifted,
+        disclosed=n_disclose,
+        errors_found=errors,
+        qber=qber,
+        sifted_rate=sifted_rate,
+        secure_rate=secure_rate(sifted_rate, min(qber, 0.5), f_ec),
+    )
 
 
 def write_reference_pairs(path, times, detectors, clock, pulse_period, n_slots, windows):

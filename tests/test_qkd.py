@@ -1,4 +1,6 @@
+import struct
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -256,6 +258,51 @@ class TestSidecar:
         assert np.array_equal(back.bases, alice.bases)
         assert np.array_equal(back.bits, alice.bits)
         assert meta2 == meta
+
+    @settings(
+        max_examples=100,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        header=st.tuples(
+            *(st.floats() | st.just(v) for v in (10_000.0, 2e6, 450_000.0, 1.16))
+        ),
+    )
+    def test_writer_refuses_what_reader_refuses(self, tmp_path, header):
+        pulse_period, sync_period, offset_bound, f_ec = header
+        alice = gen_random_code(50, 0.5, 0.5, seed=0)
+        meta = SidecarMeta(10_000.0, 2e6, 450_000.0, 0.1, 1.16, 1, (1000.0,))
+        # the reader's verdict on a file holding these values, patched in
+        valid = tmp_path / "valid.qac"
+        write_alice_sidecar(valid, alice, meta)
+        raw = bytearray(valid.read_bytes())
+        struct.pack_into("<ddd", raw, 8, pulse_period, sync_period, offset_bound)
+        struct.pack_into("<d", raw, 40, f_ec)
+        patched = tmp_path / "patched.qac"
+        patched.write_bytes(raw)
+        try:
+            read_alice_sidecar(patched)
+            refused = False
+        except FileFormatError:
+            refused = True
+        path = tmp_path / "prop.qac"
+        path.unlink(missing_ok=True)  # tmp_path outlives one example
+        meta = replace(
+            meta,
+            pulse_period=pulse_period,
+            sync_period=sync_period,
+            offset_bound=offset_bound,
+            f_ec=f_ec,
+        )
+        if refused:
+            with pytest.raises(FileFormatError, match="out of range"):
+                write_alice_sidecar(path, alice, meta)
+            assert not path.exists()
+        else:
+            write_alice_sidecar(path, alice, meta)
+            assert path.read_bytes() == raw
 
     def test_one_byte_per_pulse(self, tmp_path):
         alice = gen_random_code(1000, 0.5, 0.5, seed=17)

@@ -280,6 +280,41 @@ class TestTimeTagFile:
             assert header.calibration_offset == 64 + 8 * words.size
             assert back_widths.tobytes() == widths.tobytes()
 
+    @settings(
+        max_examples=100,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        widths=st.tuples(st.integers(1, 3), st.integers(2, 6)).flatmap(
+            lambda s: arrays(np.float64, s, elements=st.floats() | st.floats(0.0, 100.0))
+        ),
+    )
+    def test_writer_refuses_what_reader_refuses(self, tmp_path, widths):
+        cfg = TdcConfig(n_taps=widths.shape[1], n_channels=widths.shape[0])
+        words = np.arange(3, dtype=np.uint64)
+        # the reader's verdict on a file holding these widths, patched in
+        valid = tmp_path / "valid.qtt"
+        write_timetag_file(valid, cfg, words, np.zeros(widths.shape))
+        raw = valid.read_bytes()[:-widths.size * 8] + widths.astype("<f8").tobytes()
+        patched = tmp_path / "patched.qtt"
+        patched.write_bytes(raw)
+        try:
+            read_timetag_file(patched)
+            refused = False
+        except FileFormatError:
+            refused = True
+        path = tmp_path / "prop.qtt"
+        path.unlink(missing_ok=True)  # tmp_path outlives one example
+        if refused:
+            with pytest.raises(FileFormatError, match="calibration width"):
+                write_timetag_file(path, cfg, words, widths)
+            assert not path.exists()
+        else:
+            write_timetag_file(path, cfg, words, widths)
+            assert path.read_bytes() == raw
+
     def test_empty_roundtrip(self, tmp_path):
         cfg = TdcConfig()
         path = tmp_path / "empty.qtt"

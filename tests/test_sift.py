@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
-from match_oracle import assert_same_match, reference_match_pulses, reference_window_scan
+from match_oracle import (
+    assert_same_match,
+    reference_match_pulses,
+    reference_sift,
+    reference_window_scan,
+)
 
 from qkdstation.errors import ConfigError, SyncRecoveryError
 from qkdstation.qkd import AliceBlock, ClockModel, emit_sync, gen_random_code
@@ -370,17 +375,94 @@ class TestOneSortMatchOracle:
             assert_same_match(winners.at(w), want)
             assert want.n == 0
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_window_scan_equals_match_and_sift_per_window(self, seed):
-        times, noise = match_fixture(seed)
-        alice = gen_random_code(200, 0.5, 0.5, seed=seed)
+    def test_tie_on_residual_breaks_on_time_then_detector(self):
+        # four candidates of slot 1 all at |residual| 200; the input puts a
+        # loser first, and two of them share the earliest time
+        times = np.array([10_200.0, 9_800.0, 10_200.0, 9_800.0, 30_000.0])
+        dets = np.array([2, 3, 0, 1, 0], dtype=np.uint8)
+        winners = match_slots(times, dets, IDENTITY, 10_000.0, 1000.0, 5)
+        assert winners.pulse_index.tolist() == [1, 3]
+        assert winners.detector.tolist() == [1, 0]
+        assert winners.residual.tolist() == [-200.0, 0.0]
+        want = reference_match_pulses(times, dets, IDENTITY, 10_000.0, 1000.0, 5)
+        assert_same_match(winners, want)
+
+    def test_equal_times_break_on_detector(self):
+        times = np.full(3, 20_100.0)
+        dets = np.array([3, 2, 1], dtype=np.uint8)
+        winners = match_slots(times, dets, IDENTITY, 10_000.0, 1000.0, 5)
+        assert winners.detector.tolist() == [1]
+        want = reference_match_pulses(times, dets, IDENTITY, 10_000.0, 1000.0, 5)
+        assert_same_match(winners, want)
+
+    def test_crowded_first_and_last_slots(self):
+        # slots 0 and 9 are the first and last sorted positions, each with
+        # its winner behind a loser in the input; slot 4 stands alone
+        times = np.array([300.0, -100.0, 40_000.0, 90_400.0, 89_900.0, 90_100.0])
+        dets = np.array([0, 1, 2, 3, 2, 1], dtype=np.uint8)
+        winners = match_slots(times, dets, IDENTITY, 10_000.0, 1000.0, 10)
+        assert winners.pulse_index.tolist() == [0, 4, 9]
+        assert winners.detector.tolist() == [1, 2, 2]
+        want = reference_match_pulses(times, dets, IDENTITY, 10_000.0, 1000.0, 10)
+        assert_same_match(winners, want)
+
+    @pytest.mark.parametrize("clock", [IDENTITY, DRIFTING], ids=["identity", "drifting"])
+    def test_no_crowded_slot(self, clock):
+        rng = np.random.default_rng(21)
+        slots = rng.permutation(200)[:150]
+        times = clock.scale * (slots * 10_000.0 + rng.uniform(-450, 450, 150) + clock.offset_hat)
+        dets = rng.integers(0, 4, 150).astype(np.uint8)
+        winners = match_slots(times, dets, clock, 10_000.0, DENSE_WINDOWS[-1], 200)
+        assert winners.n == 150
+        for w in DENSE_WINDOWS:
+            want = reference_match_pulses(times, dets, clock, 10_000.0, w, 200)
+            assert_same_match(winners.at(w), want)
+
+    def _scan_case(self, seed, n_slots=200):
+        times, noise = match_fixture(seed, n_slots)
+        alice = gen_random_code(n_slots, 0.5, 0.5, seed=seed)
         # mostly Alice's own symbol, so the QBER stays a valid estimate
-        slot = np.clip(np.round(times / 10_000.0).astype(np.int64), 0, 199)
+        slot = np.clip(np.round(times / 10_000.0).astype(np.int64), 0, n_slots - 1)
         dets = ((alice.bases[slot] << 1) | alice.bits[slot]).astype(np.uint8)
         dets = np.where(np.arange(times.size) % 5 == 0, noise, dets)
+        return times, dets, alice
+
+    def test_window_without_disclosure(self):
+        # the narrowest window sifts too few bits to disclose any
+        times, dets, alice = self._scan_case(3)
+        keep = (np.abs(times - np.round(times / 10_000.0) * 10_000.0) > 125.0) | (
+            np.arange(times.size) < 40
+        )
+        args = (times[keep], dets[keep], IDENTITY, 10_000.0, alice, DENSE_WINDOWS)
+        got = window_scan(*args, 0.1, 3, 1.16)
+        assert got[0].disclosed == 0 < got[0].sifted_bits
+        assert got[-1].disclosed > 0
+        assert got == reference_window_scan(*args, 0.1, 3, 1.16)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_full_disclosure(self, seed):
+        times, dets, alice = self._scan_case(seed)
+        args = (times, dets, DRIFTING if seed % 2 else IDENTITY, 10_000.0, alice, DENSE_WINDOWS)
+        got = window_scan(*args, 1.0, seed, 1.16)
+        assert all(r.disclosed == r.sifted_bits for r in got)
+        assert any(r.errors_found for r in got)
+        assert got == reference_window_scan(*args, 1.0, seed, 1.16)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_window_scan_equals_match_and_sift_per_window(self, seed):
+        times, dets, alice = self._scan_case(seed)
         args = (times, dets, DRIFTING if seed % 2 else IDENTITY, 10_000.0, alice, DENSE_WINDOWS)
         got = window_scan(*args, 0.3, seed, 1.2)
         assert got == reference_window_scan(*args, 0.3, seed, 1.2)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sift_equals_reference_sift(self, seed):
+        times, dets, alice = self._scan_case(seed)
+        winners = match_slots(times, dets, IDENTITY, 10_000.0, DENSE_WINDOWS[-1], 200)
+        for w in DENSE_WINDOWS:
+            m = winners.at(w)
+            want = reference_sift(m, alice, 0.3, np.random.default_rng(seed), 1.2)
+            assert sift(m, alice, 0.3, seed, 1.2) == want
 
     def test_window_scan_checks_every_window(self):
         alice = gen_random_code(10, 0.5, 0.5, seed=0)

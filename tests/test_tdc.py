@@ -341,6 +341,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             TdcConfig(clock_period=0.5)  # dynamic range below 1 s
 
+    @pytest.mark.parametrize("clock_period", [math.nan, math.inf, -math.inf])
+    def test_non_finite_clock_period(self, clock_period):
+        with pytest.raises(ConfigError, match="finite"):
+            TdcConfig(clock_period=clock_period)
+
     def test_dynamic_range_exceeds_one_second(self):
         cfg = TdcConfig()
         assert cfg.coarse_modulus * cfg.clock_period > 1e12
