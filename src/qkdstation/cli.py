@@ -67,9 +67,9 @@ def _load(args) -> tuple[ExperimentConfig, str]:
 
 def cmd_calibrate(args) -> int:
     cfg, _ = _load(args)
+    profiles = build_profiles(cfg)  # a bad dnl spec fails before any output
     out = Path(args.output or "out")
     out.mkdir(parents=True, exist_ok=True)
-    profiles = build_profiles(cfg)
     tables = calibrate_all(cfg, profiles)
     write_timetag_file(
         out / "calibration.qtt",
@@ -106,9 +106,9 @@ def cmd_calibrate(args) -> int:
 
 def cmd_precision(args) -> int:
     cfg, _ = _load(args)
+    profiles = build_profiles(cfg)  # a bad dnl spec fails before any output
     out = Path(args.output or "out")
     out.mkdir(parents=True, exist_ok=True)
-    profiles = build_profiles(cfg)
     delay = cfg.precision.cable_delay
     if delay is None:
         delay = cal.decorrelation_cable_delay(cfg.tdc)

@@ -13,12 +13,12 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 from .errors import ConfigError
 from .qkd import ClockModel, DetectorModel, LinkModel
-from .tdc import TdcConfig
+from .tdc import TdcConfig, parse_dnl
 
 TOOL_VERSION = "0.1.0"
 
@@ -32,10 +32,10 @@ class PrecisionSettings:
     :func:`qkdstation.calibration.decorrelation_cable_delay`).
     """
 
-    period: float = 100_000.0  # ps between generator pulses
-    cable_delay: float | None = None
-    n_pulses: int = 100_000
-    pairs: tuple[tuple[int, int], ...] = ()  # empty = consecutive pairs
+    period: float  # ps between generator pulses
+    cable_delay: float | None
+    n_pulses: int
+    pairs: tuple[tuple[int, int], ...]  # empty = consecutive pairs
 
     def __post_init__(self):
         if self.period <= 0 or self.n_pulses <= 0:
@@ -50,23 +50,23 @@ class ExperimentConfig:
     link: LinkModel
     detectors: DetectorModel
     clock: ClockModel
-    dnl_spec: str = "uniform"
-    jitter_sigma: tuple[float, ...] = ()  # ps per channel; empty = all zero
-    enabled_channels: tuple[int, ...] = ()  # empty = all enabled
-    offset_bound: float = 450_000.0  # ps, GPS-style prior on the offset
-    session_length_s: float = 0.01
-    basis_bias: float = 0.5
-    bit_bias: float = 0.5
-    disclose_fraction: float = 0.1
-    windows: tuple[float, ...] = (1000.0,)
-    analysis_window: float = 1000.0
-    f_ec: float = 1.16
-    sync_jitter_sigma: float = 60.0  # ps on the sync detector
-    seed: int = 0
-    calibration_samples: int = 1_000_000
-    buffer_depth: int = 65_536
-    link_rate: float = 35e6  # bytes/s to the host
-    precision: PrecisionSettings = field(default_factory=PrecisionSettings)
+    dnl_spec: str
+    jitter_sigma: tuple[float, ...]  # ps per channel; empty = all zero
+    enabled_channels: tuple[int, ...]  # empty = all enabled
+    offset_bound: float  # ps, GPS-style prior on the offset
+    session_length_s: float
+    basis_bias: float
+    bit_bias: float
+    disclose_fraction: float
+    windows: tuple[float, ...]
+    analysis_window: float
+    f_ec: float
+    sync_jitter_sigma: float  # ps on the sync detector
+    seed: int
+    calibration_samples: int
+    buffer_depth: int
+    link_rate: float  # bytes/s to the host
+    precision: PrecisionSettings
 
     def __post_init__(self):
         if self.session_length_s <= 0:
@@ -75,10 +75,7 @@ class ExperimentConfig:
             raise ConfigError("biases must lie in [0, 1]")
         if not 0 < self.disclose_fraction <= 1:
             raise ConfigError("disclose_fraction must lie in (0, 1]")
-        if not self.windows:
-            raise ConfigError("need at least one analysis window")
-        if any(b <= a for a, b in zip(self.windows, self.windows[1:])):
-            raise ConfigError("windows must be strictly ascending")
+        check_windows(self.windows, self.link.pulse_period)
         if self.analysis_window not in self.windows:
             raise ConfigError("analysis_window_ps must be one of windows_ps")
         if not 0 <= self.seed < 2**64:
@@ -101,6 +98,7 @@ class ExperimentConfig:
             raise ConfigError("calibration needs at least 1e5 stimulus hits")
         if self.buffer_depth <= 0 or self.link_rate <= 0:
             raise ConfigError("buffer depth and link rate must be positive")
+        parse_dnl(self.dnl_spec)
 
     @property
     def n_pulses(self) -> int:
@@ -125,6 +123,22 @@ class ExperimentConfig:
             return self.precision.pairs
         n = self.tdc.n_channels - self.tdc.n_channels % 2
         return tuple((c, c + 1) for c in range(0, n, 2))
+
+
+def check_windows(windows, pulse_period: float) -> list[float]:
+    """``windows`` as floats, once they ascend strictly and each lies in
+    (0, pulse_period/2); a wider window reaches into the next pulse slot."""
+    w = [float(x) for x in windows]
+    if not w:
+        raise ConfigError("need at least one window")
+    if any(b <= a for a, b in zip(w, w[1:])):
+        raise ConfigError("windows must be strictly ascending")
+    for window in w:
+        if not 0 < window < pulse_period / 2:
+            raise ConfigError(
+                f"window {window} ps must lie in (0, pulse_period/2 = {pulse_period / 2})"
+            )
+    return w
 
 
 def _float(sec, key, default) -> float:

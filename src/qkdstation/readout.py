@@ -1,5 +1,5 @@
-"""Event-word packing, the time-tag file format, the rate-capped readout
-link, and the gated counter.
+"""Event-word packing, the time-tag file format and the rate-capped
+readout link.
 
 Every digitized event travels as one 64-bit little-endian word:
 
@@ -10,10 +10,10 @@ Every digitized event travels as one 64-bit little-endian word:
     bits [55..64) reserved, must be zero
 
 Words funnel through a bounded FIFO drained by a byte-rate-capped link;
-arrivals that find the buffer full are dropped and counted. The counter
-path tallies gated hit rates per channel without consuming link
-bandwidth, which is how a 30 M/s count capability coexists with a
-4.375 M word/s transfer ceiling.
+arrivals that find the buffer full are dropped and counted. The link
+carries 4.375 M word/s; the 30 M/s count capability is the TDC's own
+30 ns dead-time gate (see :func:`qkdstation.tdc.gate_dead_time`), which
+acts before a word is packed.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FileFormatError, PackError
-from .tdc import CHANNEL_BITS, COARSE_BITS, FINE_BITS, TdcConfig, gate_dead_time
+from .tdc import CHANNEL_BITS, COARSE_BITS, FINE_BITS, TdcConfig
 
 _FINE_MASK = (1 << FINE_BITS) - 1
 _COARSE_MASK = (1 << COARSE_BITS) - 1
@@ -161,43 +161,6 @@ def stream(
     # the first arrival always finds room, so ``accepted`` is not empty
     buf = ReadoutBuffer(depth, occupancy, drops, t.size, delivered)
     return buf, np.concatenate(accepted)[:delivered].astype(np.int64)
-
-
-@dataclass
-class CounterBank:
-    """Per-channel hit counts in contiguous, non-overlapping gates."""
-
-    gate_length: float  # ps
-    counts: np.ndarray  # shape (n_channels, n_gates)
-
-
-def count_gated(
-    times: np.ndarray,
-    channels: np.ndarray,
-    gate_length: float,
-    n_gates: int,
-    config: TdcConfig,
-) -> CounterBank:
-    """Dead-time-gated hit counts per channel per gate.
-
-    The counter sits beside the word stream in the readout fabric, so its
-    rate capability is independent of the link budget.
-    """
-    if gate_length <= 0:
-        raise PackError("gate_length must be positive")
-    t = np.asarray(times, dtype=float)
-    ch = np.asarray(channels, dtype=np.int64)
-    counts = np.zeros((config.n_channels, n_gates), dtype=np.int64)
-    for c in range(config.n_channels):
-        tc = np.sort(t[ch == c])
-        if tc.size == 0:
-            continue
-        keep, _ = gate_dead_time(tc, config.dead_time)
-        gated = tc[keep]
-        gate_idx = np.floor(gated / gate_length).astype(np.int64)
-        valid = (gate_idx >= 0) & (gate_idx < n_gates)
-        counts[c] += np.bincount(gate_idx[valid], minlength=n_gates)
-    return CounterBank(gate_length=gate_length, counts=counts)
 
 
 # --- Time-tag file -----------------------------------------------------------

@@ -277,6 +277,7 @@ def run_session(
     cfg: ExperimentConfig, out_dir, config_digest: str = ""
 ) -> SessionArtifacts:
     """Execute the full pipeline and write all artifacts into ``out_dir``."""
+    profiles = build_profiles(cfg)  # a bad dnl spec fails before any output
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     timetag_path = out / "session.qtt"
@@ -288,7 +289,6 @@ def run_session(
         cfg.n_pulses, cfg.basis_bias, cfg.bit_bias, derive_rng(cfg.seed, "alice")
     )
     detections, ledger = simulate_detections(cfg, alice)
-    profiles = build_profiles(cfg)
     tables = calibrate_all(cfg, profiles)
     arrival, ch, co, fi, ro = digitize_detections(cfg, detections, profiles)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import write_csv
+from .config import check_windows, write_csv
 from .errors import ConfigError, SyncRecoveryError
 from .qkd import AliceBlock
 from .seeding import derive_rng
@@ -195,13 +195,6 @@ def _comb_residuals(t, period, offset, drift):
     return idx, u - idx * period
 
 
-def _check_window(window: float, pulse_period: float) -> None:
-    if not 0 < window < pulse_period / 2:
-        raise ConfigError(
-            f"window {window} ps must lie in (0, pulse_period/2 = {pulse_period / 2})"
-        )
-
-
 def match_slots(
     times: np.ndarray,
     detectors: np.ndarray,
@@ -214,7 +207,7 @@ def match_slots(
     among those within ``widest``; ties break on earlier time, then lower
     detector id, so the result is independent of input ordering.
     """
-    _check_window(widest, pulse_period)
+    check_windows([widest], pulse_period)
     t = np.asarray(times, dtype=float)
     det = np.asarray(detectors, dtype=np.uint8)
     u = clock.to_sender(t)
@@ -252,7 +245,7 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def secure_rate(sifted_rate: float, qber: float, f_ec: float = 1.16) -> float:
+def secure_rate(sifted_rate: float, qber: float, f_ec: float) -> float:
     """Asymptotic BB84 secure-key rate after error correction and
     privacy amplification: R = sifted * (1 - f_ec*H2(q) - H2(q)).
     """
@@ -264,41 +257,45 @@ def secure_rate(sifted_rate: float, qber: float, f_ec: float = 1.16) -> float:
     return max(0.0, sifted_rate * (1.0 - f_ec * h - h))
 
 
-def sift(
-    match: MatchResult,
+def window_scan(
+    times: np.ndarray,
+    detectors: np.ndarray,
+    clock: ClockEstimate,
+    pulse_period: float,
     alice: AliceBlock,
-    disclose_fraction: float = 0.1,
-    seed: int | np.random.Generator = 0,
-    f_ec: float = 1.16,
-) -> SiftReport:
-    """Basis-reconcile matched pairs and estimate the error rate.
+    windows,
+    disclose_fraction: float,
+    seed: int,
+    f_ec: float,
+) -> list[SiftReport]:
+    """Sift the same session at several coincidence windows.
 
-    A seeded random ``disclose_fraction`` of the sifted bits is compared
-    in the open; those bits are spent (excluded from the key) and their
+    Windows must be ascending; wider windows admit a superset of the
+    matched pairs, so matched counts are nondecreasing while background
+    admission (and with it the expected QBER) grows. One match at the
+    widest window is basis-reconciled once; each window then costs one
+    mask over the sifted winners' |residual| and its disclosure draw: a
+    seeded random ``disclose_fraction`` of the sifted bits is compared in
+    the open, those bits are spent (excluded from the key) and their
     error fraction is the QBER estimate.
     """
-    rngs = [np.random.default_rng(seed)]
-    return _sift_windows(match, alice, [match.window], rngs, disclose_fraction, f_ec)[0]
-
-
-def _sift_windows(match, alice, windows, rngs, disclose_fraction, f_ec) -> list[SiftReport]:
-    """Reconcile bases once, then per window one |residual| mask and one rng draw."""
+    w = check_windows(windows, pulse_period)
     if not 0 < disclose_fraction <= 1:
         raise ConfigError("disclose_fraction must lie in (0, 1]")
+    match = match_slots(times, detectors, clock, pulse_period, w[-1], alice.n)
     if match.n and int(match.detector.max()) > 3:
         raise ConfigError("sync detections must not enter sifting")
-    if match.n and int(match.pulse_index.max()) >= alice.n:
-        raise ConfigError("alice code does not cover all matched pulse indices")
     same = (match.detector >> 1) == alice.bases[match.pulse_index]
     wrong = ((match.detector & 1) != alice.bits[match.pulse_index])[same]
     res = np.abs(match.residual)
     res_sifted = res[same]
     duration_s = match.n_slots * match.pulse_period / 1e12
     reports = []
-    for window, rng in zip(windows, rngs):
+    for i, window in enumerate(w):
         key_wrong = wrong[res_sifted <= window / 2]  # the sifted bits, in key order
         sifted = key_wrong.size
         n_disclose = int(round(disclose_fraction * sifted))
+        rng = derive_rng(seed, "disclose", f"w{i}")
         pick = rng.choice(sifted, size=n_disclose, replace=False) if n_disclose else []
         errors = int(np.count_nonzero(key_wrong[pick]))
         qber = errors / n_disclose if n_disclose else 0.0
@@ -316,37 +313,6 @@ def _sift_windows(match, alice, windows, rngs, disclose_fraction, f_ec) -> list[
             )
         )
     return reports
-
-
-def window_scan(
-    times: np.ndarray,
-    detectors: np.ndarray,
-    clock: ClockEstimate,
-    pulse_period: float,
-    alice: AliceBlock,
-    windows,
-    disclose_fraction: float = 0.1,
-    seed: int = 0,
-    f_ec: float = 1.16,
-) -> list[SiftReport]:
-    """Sift the same session at several coincidence windows.
-
-    Windows must be ascending; wider windows admit a superset of the
-    matched pairs, so matched counts are nondecreasing while background
-    admission (and with it the expected QBER) grows. One match at the
-    widest window is basis-reconciled once; each window then costs one
-    mask over the sifted winners' |residual| and its disclosure draw.
-    """
-    w = [float(x) for x in windows]
-    if not w:
-        raise ConfigError("need at least one window")
-    if any(b <= a for a, b in zip(w, w[1:])):
-        raise ConfigError("windows must be strictly ascending")
-    for window in w:
-        _check_window(window, pulse_period)
-    winners = match_slots(times, detectors, clock, pulse_period, w[-1], alice.n)
-    rngs = (derive_rng(seed, "disclose", f"w{i}") for i in range(len(w)))
-    return _sift_windows(winners, alice, w, rngs, disclose_fraction, f_ec)
 
 
 def write_sift_csv(reports, path) -> None:

@@ -136,7 +136,6 @@ class RecordBatch:
     carries beside the coarse field.
     """
 
-    channel: int
     coarse: np.ndarray
     fine: np.ndarray
     accepted_index: np.ndarray
@@ -147,34 +146,47 @@ class RecordBatch:
         return self.coarse.size
 
 
+_DNL_DEFAULTS = {"uniform": (), "sine": (0.25, 3.0, 0.0), "random": (-0.3, 0.3)}
+
+
+def parse_dnl(spec: str) -> tuple[str, tuple[float, ...]]:
+    """Split a DNL directive into its kind and its numbers, defaults filled in.
+
+    ``uniform``, ``sine[:<amplitude_lsb>[:<cycles>[:<phase_rad>]]]`` or
+    ``random[:<lo_lsb>[:<hi_lsb>]]``; anything else raises ConfigError.
+    """
+    kind, *args = spec.strip().lower().split(":")
+    defaults = _DNL_DEFAULTS.get(kind)
+    if defaults is None or len(args) > len(defaults):
+        raise ConfigError(f"unknown dnl spec {spec!r}")
+    try:
+        values = tuple(float(a) for a in args) + defaults[len(args) :]
+    except ValueError:
+        raise ConfigError(f"dnl spec {spec!r} holds a non-number") from None
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"dnl spec {spec!r} holds a non-finite number")
+    if kind == "random" and not 0 <= values[1] - values[0] < math.inf:
+        raise ConfigError(f"dnl spec {spec!r} needs lo <= hi with a finite range")
+    return kind, values
+
+
 def _dnl_deviations(
     config: TdcConfig,
     dnl_spec,
     seed: int | None,
 ) -> np.ndarray:
-    """Resolve a DNL directive to per-tap deviations in ps."""
+    """Resolve a DNL directive or a per-tap array to deviations in ps."""
     nominal = config.nominal_tap
     n = config.n_taps
     if isinstance(dnl_spec, str):
-        spec = dnl_spec.strip().lower()
-        if spec == "uniform":
-            return np.zeros(n)
-        if spec.startswith("sine"):
-            # sine:<amplitude_lsb>[:<cycles>[:<phase_rad>]]
-            parts = spec.split(":")[1:]
-            amp = float(parts[0]) if parts else 0.25
-            cycles = float(parts[1]) if len(parts) > 1 else 3.0
-            phase = float(parts[2]) if len(parts) > 2 else 0.0
+        kind, args = parse_dnl(dnl_spec)
+        if kind == "sine":
+            amp, cycles, phase = args
             x = np.arange(n) / n
             return amp * nominal * np.sin(2 * np.pi * cycles * x + phase)
-        if spec.startswith("random"):
-            # random:<lo_lsb>:<hi_lsb>, drawn uniformly with the given seed
-            parts = spec.split(":")[1:]
-            lo = float(parts[0]) if parts else -0.3
-            hi = float(parts[1]) if len(parts) > 1 else 0.3
-            rng = np.random.default_rng(seed)
-            return rng.uniform(lo, hi, n) * nominal
-        raise ConfigError(f"unknown dnl spec {dnl_spec!r}")
+        if kind == "random":  # drawn uniformly with the given seed
+            return np.random.default_rng(seed).uniform(*args, n) * nominal
+        return np.zeros(n)
     dev = np.asarray(dnl_spec, dtype=float)
     if dev.shape != (n,):
         raise ConfigError(f"dnl deviation array must have length {n}")
@@ -271,9 +283,7 @@ def digitize_stream(
     if not state.enabled:
         state.rejected_disabled += t.size
         empty = np.empty(0, dtype=np.int64)
-        return RecordBatch(
-            profile.channel, empty, empty.copy(), empty.copy(), empty.copy()
-        )
+        return RecordBatch(empty, empty.copy(), empty.copy(), empty.copy())
     keep, last = gate_dead_time(t, config.dead_time, state.last_accept_time)
     kept = t[keep]
     state.rejected_dead_time += int(t.size - kept.size)
@@ -288,7 +298,6 @@ def digitize_stream(
     fine = np.searchsorted(profile.boundaries, x, side="right").astype(np.int64)
     coarse = edge % config.coarse_modulus
     return RecordBatch(
-        channel=profile.channel,
         coarse=coarse,
         fine=fine,
         accepted_index=np.flatnonzero(keep).astype(np.int64),

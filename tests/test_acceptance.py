@@ -20,7 +20,7 @@ from qkdstation.calibration import (
 )
 from qkdstation.cli import main
 from qkdstation.qkd import ClockModel, emit_sync, gen_random_code, simulate_link
-from qkdstation.readout import count_gated, pack_words, read_timetag_file, stream, unpack_words, write_timetag_file
+from qkdstation.readout import pack_words, read_timetag_file, stream, unpack_words, write_timetag_file
 from qkdstation.seeding import derive_rng
 from qkdstation.session import build_profiles, run_session
 from qkdstation.sift import ClockEstimate, match_slots, recover_clock, window_scan
@@ -127,19 +127,20 @@ def test_a05_throughput_caps():
     assert buf.delivered == ceiling
     assert buf.conserved()
 
-    # counter cap: 33.4 ns periodic input sustains ~30 M/s through the gate
+    # count cap: 33.4 ns periodic input sustains ~30 M/s through the
+    # pipeline's 30 ns dead-time gate on one digitized channel
     cfg = TdcConfig()
     period = 33_400.0
     span = 0.05e12
     n = int(span / period)
     times = np.arange(n) * period
-    bank = count_gated(times, np.zeros(n, dtype=np.int64), span, 1, cfg)
-    rate = bank.counts[0, 0] / 0.05
+    batch = digitize_stream(times, build_delay_line(cfg), ChannelState(), cfg)
+    rate = batch.n / 0.05
     assert rate == pytest.approx(30e6, rel=0.005)
     report(
         "5 throughput",
         f"link delivered {buf.delivered / duration_s / 1e6:.4f} M words/s "
-        f"(cap 4.375); counter {rate / 1e6:.2f} M/s (30 +- 0.5%)",
+        f"(cap 4.375); dead-time gate {rate / 1e6:.2f} M/s (30 +- 0.5%)",
     )
 
 
@@ -209,7 +210,7 @@ def test_a08_window_scan_monotone_qber():
         det, _ = simulate_link(alice, link, detectors, ClockModel(), seed=seed + 100)
         reports = window_scan(
             det.times, det.detectors, identity, link.pulse_period, alice,
-            windows, disclose_fraction=1.0, seed=seed,
+            windows, disclose_fraction=1.0, seed=seed, f_ec=1.16,
         )
         matched = [r.matched for r in reports]
         assert matched == sorted(matched)  # exact superset property

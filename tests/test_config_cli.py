@@ -232,9 +232,25 @@ class TestConfigKeys:
             ("run", "drift_ppm = 3.0", "drift_ppm = nan", "drift_ppm"),
             ("precision", "pairs = 0 1, 2 3", "pairs = 0, 5", "pair"),
             ("precision", "pairs = 0 1, 2 3", "pairs = 0, -1", "pair"),
+            ("run", "windows_ps = 500, 1000, 2000", "windows_ps = 500, 1000, 6000", "window"),
+            ("run", "windows_ps = 500, 1000, 2000", "windows_ps = -500, 1000", "window"),
+            ("calibrate", "windows_ps = 500, 1000, 2000", "windows_ps = 1000, 6000", "window"),
+            ("run", "dnl = sine:0.2:3", "dnl = sine:abc", "dnl"),
+            ("calibrate", "dnl = sine:0.2:3", "dnl = sine:nan", "dnl"),
+            ("precision", "dnl = sine:0.2:3", "dnl = sine:0.1:inf", "dnl"),
+            ("run", "dnl = sine:0.2:3", "dnl = random:nan:0.1", "dnl"),
+            ("calibrate", "dnl = sine:0.2:3", "dnl = random:0.5:-0.5", "dnl"),
+            ("precision", "dnl = sine:0.2:3", "dnl = bogus", "dnl"),
+            ("run", "dnl = sine:0.2:3", "dnl = sine:2", "dnl"),
+            ("calibrate", "dnl = sine:0.2:3", "dnl = sine:2", "dnl"),
+            ("precision", "dnl = sine:0.2:3", "dnl = sine:2", "dnl"),
         ],
         ids=["no_windows", "nan_background", "nan_loss", "nan_clock", "nan_drift",
-             "pair_too_high", "pair_negative"],
+             "pair_too_high", "pair_negative", "window_too_wide", "window_negative",
+             "calibrate_window_too_wide", "dnl_not_number", "calibrate_dnl_nan",
+             "precision_dnl_inf", "dnl_random_nan", "calibrate_dnl_random_reversed",
+             "precision_dnl_unknown", "dnl_negative_tap", "calibrate_dnl_negative_tap",
+             "precision_dnl_negative_tap"],
     )
     def test_bad_value_exit_2(self, tmp_path, capsys, command, old, new, named):
         assert SMALL_CONFIG.count(old) == 1

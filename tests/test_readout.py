@@ -8,11 +8,9 @@ from hypothesis.extra.numpy import arrays
 from scalar_oracle import TdcRecord, pack, reference_stream, unpack
 from shipped_config import load_reference
 
-from qkdstation.errors import FileFormatError, PackError
+from qkdstation.errors import ConfigError, FileFormatError, PackError
 from qkdstation.qkd import gen_random_code
 from qkdstation.readout import (
-    CounterBank,
-    count_gated,
     pack_words,
     read_timetag_file,
     stream,
@@ -22,7 +20,14 @@ from qkdstation.readout import (
 )
 from qkdstation.seeding import derive_rng
 from qkdstation.session import build_profiles, digitize_detections, simulate_detections
-from qkdstation.tdc import CHANNEL_BITS, FINE_BITS, TdcConfig
+from qkdstation.tdc import (
+    CHANNEL_BITS,
+    FINE_BITS,
+    ChannelState,
+    TdcConfig,
+    build_delay_line,
+    digitize_stream,
+)
 
 
 def _reference_arrivals():
@@ -187,12 +192,14 @@ def test_stream_matches_tick_loop_oracle(name):
         assert buf.drops > 0
 
 
+def _gated_batch(times, cfg, channel=0):
+    """Hits the pipeline's dead-time gate passes on one digitized channel."""
+    profile = build_delay_line(cfg, channel=channel)
+    return digitize_stream(times, profile, ChannelState(), cfg)
+
+
 class TestCounter:
-    def test_two_hits_one_gate(self):
-        cfg = TdcConfig()
-        times = np.array([0.1e12, 0.2e12])
-        bank = count_gated(times, np.zeros(2, dtype=int), 1e12, 1, cfg)
-        assert bank.counts[0, 0] == 2
+    """The count rate is set by the TDC's dead-time gate in ``digitize_stream``."""
 
     def test_30mhz_sustained(self):
         # 33.4 ns period clears the 30 ns dead time: every hit counts
@@ -200,8 +207,7 @@ class TestCounter:
         period = 33_400.0
         n = int(0.05e12 / period)
         times = np.arange(n) * period
-        bank = count_gated(times, np.zeros(n, dtype=int), 0.05e12, 1, cfg)
-        rate = bank.counts[0, 0] / 0.05
+        rate = _gated_batch(times, cfg).n / 0.05
         assert rate == pytest.approx(30e6, rel=0.005)
 
     def test_40mhz_halved_by_dead_time(self):
@@ -210,32 +216,24 @@ class TestCounter:
         period = 25_000.0
         n = int(0.02e12 / period)
         times = np.arange(n) * period
-        bank = count_gated(times, np.zeros(n, dtype=int), 0.02e12, 1, cfg)
-        rate = bank.counts[0, 0] / 0.02
+        rate = _gated_batch(times, cfg).n / 0.02
         assert rate == pytest.approx(20e6, rel=0.005)
 
     def test_counter_matches_stream_with_infinite_buffer(self):
-        from qkdstation.tdc import ChannelState, build_delay_line, digitize_stream
-
+        # an unbounded buffer delivers every word the gate accepted
         cfg = TdcConfig(n_channels=2)
         rng = np.random.default_rng(4)
-        all_counts = []
-        delivered_per_channel = []
         for c in range(2):
             times = np.sort(rng.random(2000) * 1e9)
-            bank = count_gated(times, np.full(2000, c), 1e9, 1, cfg)
-            all_counts.append(int(bank.counts[c, 0]))
-            profile = build_delay_line(cfg, channel=c)
-            batch = digitize_stream(times, profile, ChannelState(), cfg)
-            buf, delivered = stream(
-                times[batch.accepted_index], depth=10**9, link_rate=35e6
-            )
-            delivered_per_channel.append(int(buf.delivered))
-        assert all_counts == delivered_per_channel
+            batch = _gated_batch(times, cfg, channel=c)
+            buf, _ = stream(times[batch.accepted_index], depth=10**9, link_rate=35e6)
+            assert 0 < batch.n < times.size
+            assert buf.delivered == batch.n
 
     def test_bad_gate_length(self):
-        with pytest.raises(PackError):
-            count_gated(np.array([1.0]), np.array([0]), 0.0, 1, TdcConfig())
+        # the gate's length is the dead time
+        with pytest.raises(ConfigError):
+            TdcConfig(dead_time=-1.0)
 
 
 @st.composite

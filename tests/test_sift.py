@@ -3,7 +3,6 @@ import pytest
 from match_oracle import (
     assert_same_match,
     reference_match_pulses,
-    reference_sift,
     reference_window_scan,
 )
 
@@ -16,7 +15,6 @@ from qkdstation.sift import (
     match_slots,
     recover_clock,
     secure_rate,
-    sift,
     window_scan,
 )
 
@@ -141,24 +139,23 @@ class TestMatchPulses:
         assert m.n == 1 and m.pulse_index[0] == 0
 
 
-def ideal_match(n, detector_bits, bases):
-    """Hand-built match where pulse i was detected on basis/bit arrays."""
+def ideal_sift(alice, detector_bits, bases, disclose_fraction, seed):
+    """Sift one detection per pulse, at its slot centre, on the given
+    basis/bit arrays, at a single 1000 ps window."""
+    times = np.arange(alice.n) * 10_000.0
     detectors = ((bases << 1) | detector_bits).astype(np.uint8)
-    return MatchResult(
-        pulse_index=np.arange(n, dtype=np.int64),
-        detector=detectors,
-        residual=np.zeros(n),
-        window=1000.0,
-        pulse_period=10_000.0,
-        n_slots=n,
+    reports = window_scan(
+        times, detectors, IDENTITY, 10_000.0, alice, (1000.0,), disclose_fraction, seed, 1.16
     )
+    return reports[0]
 
 
 class TestSift:
     def test_ideal_all_bases_equal(self):
         alice = gen_random_code(1000, 0.5, 0.5, seed=7)
-        match = ideal_match(1000, alice.bits.copy(), alice.bases.copy())
-        report = sift(match, alice, disclose_fraction=0.2, seed=8)
+        report = ideal_sift(
+            alice, alice.bits.copy(), alice.bases.copy(), disclose_fraction=0.2, seed=8
+        )
         assert report.sifted_bits == report.matched == 1000
         assert report.qber == 0.0
         assert report.errors_found == 0
@@ -168,8 +165,9 @@ class TestSift:
         alice = gen_random_code(n, 0.5, 0.5, seed=9)
         rng = np.random.default_rng(10)
         bob_bases = rng.integers(0, 2, n).astype(np.uint8)
-        match = ideal_match(n, alice.bits.copy(), bob_bases)
-        report = sift(match, alice, disclose_fraction=0.1, seed=11)
+        report = ideal_sift(
+            alice, alice.bits.copy(), bob_bases, disclose_fraction=0.1, seed=11
+        )
         assert abs(report.sifted_bits / n - 0.5) < 3 * np.sqrt(0.25 / n)
 
     def test_exact_ratio_definition(self):
@@ -180,8 +178,9 @@ class TestSift:
         alice = AliceBlock(bases=bases, bits=bits)
         bob_bits = np.zeros(n, dtype=np.uint8)
         bob_bits[:17] = 1
-        match = ideal_match(n, bob_bits, bases.copy())
-        report = sift(match, alice, disclose_fraction=1.0, seed=12)
+        report = ideal_sift(
+            alice, bob_bits, bases.copy(), disclose_fraction=1.0, seed=12
+        )
         assert report.disclosed == 1000
         assert report.errors_found == 17
         assert report.qber == pytest.approx(0.017)
@@ -189,24 +188,26 @@ class TestSift:
     def test_qber_above_half_leaves_no_key(self):
         n = 1000
         alice = AliceBlock(bases=np.zeros(n, np.uint8), bits=np.zeros(n, np.uint8))
-        match = ideal_match(n, np.ones(n, np.uint8), np.zeros(n, np.uint8))
-        report = sift(match, alice, disclose_fraction=1.0, seed=12)
+        report = ideal_sift(
+            alice, np.ones(n, np.uint8), np.zeros(n, np.uint8), disclose_fraction=1.0, seed=12
+        )
         assert report.qber == 1.0
         assert report.secure_rate == 0.0
 
     def test_disclosed_bits_leave_key(self):
         alice = gen_random_code(1000, 1.0, 0.5, seed=13)
-        match = ideal_match(1000, alice.bits.copy(), alice.bases.copy())
-        report = sift(match, alice, disclose_fraction=0.25, seed=14)
+        report = ideal_sift(
+            alice, alice.bits.copy(), alice.bases.copy(), disclose_fraction=0.25, seed=14
+        )
         assert report.disclosed == 250
 
     def test_disclose_fraction_bounds(self):
         alice = gen_random_code(10, 0.5, 0.5, seed=15)
-        match = ideal_match(10, alice.bits.copy(), alice.bases.copy())
+        bits, bases = alice.bits.copy(), alice.bases.copy()
         with pytest.raises(ConfigError):
-            sift(match, alice, disclose_fraction=0.0)
+            ideal_sift(alice, bits, bases, disclose_fraction=0.0, seed=0)
         with pytest.raises(ConfigError):
-            sift(match, alice, disclose_fraction=1.1)
+            ideal_sift(alice, bits, bases, disclose_fraction=1.1, seed=0)
 
     def test_qber_estimator_unbiased_over_seeds(self):
         # disclosed-subset estimate vs the full sifted error fraction
@@ -215,10 +216,9 @@ class TestSift:
         rng = np.random.default_rng(17)
         flips = rng.random(n) < 0.03
         bob_bits = (alice.bits ^ flips).astype(np.uint8)
-        match = ideal_match(n, bob_bits, alice.bases.copy())
         true_fraction = np.mean(flips)  # all bases equal, all matched sifted
         estimates = [
-            sift(match, alice, disclose_fraction=0.1, seed=s).qber
+            ideal_sift(alice, bob_bits, alice.bases.copy(), disclose_fraction=0.1, seed=s).qber
             for s in range(30)
         ]
         se = np.sqrt(0.03 * 0.97 / (0.1 * n)) / np.sqrt(30)
@@ -227,19 +227,19 @@ class TestSift:
 
 class TestSecureRate:
     def test_zero_qber_passes_through(self):
-        assert secure_rate(1000.0, 0.0) == 1000.0
+        assert secure_rate(1000.0, 0.0, 1.16) == 1000.0
 
     def test_threshold_near_11_percent(self):
         r = secure_rate(1000.0, 0.11, f_ec=1.0)
         assert r < 1.0  # 1 - 2*H2(0.11) is within 2e-4 of zero
 
     def test_monotone_nonincreasing_in_qber(self):
-        rates = [secure_rate(1000.0, q) for q in np.linspace(0.0, 0.5, 51)]
+        rates = [secure_rate(1000.0, q, 1.16) for q in np.linspace(0.0, 0.5, 51)]
         assert all(a >= b for a, b in zip(rates, rates[1:]))
 
     def test_bounds(self):
         with pytest.raises(ConfigError):
-            secure_rate(1000.0, 0.6)
+            secure_rate(1000.0, 0.6, 1.16)
         with pytest.raises(ConfigError):
             secure_rate(1000.0, 0.1, f_ec=0.9)
 
@@ -269,7 +269,7 @@ class TestWindowScan:
     def test_matched_counts_nondecreasing_exact(self):
         alice, times, dets = self._session(0.5)
         reports = window_scan(
-            times, dets, IDENTITY, 10_000.0, alice, (250.0, 500.0, 1000.0, 2000.0), 0.2, 1
+            times, dets, IDENTITY, 10_000.0, alice, (250.0, 500.0, 1000.0, 2000.0), 0.2, 1, 1.16
         )
         matched = [r.matched for r in reports]
         assert matched == sorted(matched)
@@ -277,7 +277,7 @@ class TestWindowScan:
     def test_zero_background_qber_flat(self):
         alice, times, dets = self._session(0.0)
         reports = window_scan(
-            times, dets, IDENTITY, 10_000.0, alice, (1000.0, 2000.0, 4000.0), 0.5, 2
+            times, dets, IDENTITY, 10_000.0, alice, (1000.0, 2000.0, 4000.0), 0.5, 2, 1.16
         )
         assert all(r.qber == 0.0 for r in reports)
         assert len({r.matched for r in reports}) == 1
@@ -285,7 +285,7 @@ class TestWindowScan:
     def test_windows_must_ascend(self):
         alice, times, dets = self._session(0.0, n=100)
         with pytest.raises(ConfigError):
-            window_scan(times, dets, IDENTITY, 10_000.0, alice, (1000.0, 500.0), 0.2, 3)
+            window_scan(times, dets, IDENTITY, 10_000.0, alice, (1000.0, 500.0), 0.2, 3, 1.16)
 
     def test_qber_grows_with_window_in_expectation(self):
         # paired Monte-Carlo over seeds; background injects errors
@@ -294,7 +294,7 @@ class TestWindowScan:
         for seed in range(10):
             alice, times, dets = self._session(1.0, n=10_000, seed=seed, p_det=0.2)
             reports = window_scan(
-                times, dets, IDENTITY, 10_000.0, alice, (500.0, 4000.0), 1.0, seed
+                times, dets, IDENTITY, 10_000.0, alice, (500.0, 4000.0), 1.0, seed, 1.16
             )
             diffs_small_large.append(reports[1].qber - reports[0].qber)
         assert np.mean(diffs_small_large) > 0
@@ -455,18 +455,9 @@ class TestOneSortMatchOracle:
         got = window_scan(*args, 0.3, seed, 1.2)
         assert got == reference_window_scan(*args, 0.3, seed, 1.2)
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_sift_equals_reference_sift(self, seed):
-        times, dets, alice = self._scan_case(seed)
-        winners = match_slots(times, dets, IDENTITY, 10_000.0, DENSE_WINDOWS[-1], 200)
-        for w in DENSE_WINDOWS:
-            m = winners.at(w)
-            want = reference_sift(m, alice, 0.3, np.random.default_rng(seed), 1.2)
-            assert sift(m, alice, 0.3, seed, 1.2) == want
-
     def test_window_scan_checks_every_window(self):
         alice = gen_random_code(10, 0.5, 0.5, seed=0)
         times, dets = np.array([10_000.0]), np.array([0], dtype=np.uint8)
         for windows in ((1000.0, 5000.0), (-1.0, 1000.0), (float("nan"),), ()):
             with pytest.raises(ConfigError):
-                window_scan(times, dets, IDENTITY, 10_000.0, alice, windows)
+                window_scan(times, dets, IDENTITY, 10_000.0, alice, windows, 0.1, 0, 1.16)

@@ -21,6 +21,7 @@ from qkdstation.tdc import (
     build_delay_line,
     digitize_stream,
     gate_dead_time,
+    parse_dnl,
     reconstruct_stream,
 )
 
@@ -59,6 +60,19 @@ class TestBuildDelayLine:
             build_delay_line(cfg, [-25.0, 0.0, 0.0, 0.0])
         with pytest.raises(ConfigError):
             build_delay_line(cfg, [0.0, 0.0, -30.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["sinefoo", "uniform:1", "sine:", "sine:1:2:3:4", "random:-1e308:1e308"],
+    )
+    def test_rejects_bad_directive(self, spec):
+        with pytest.raises(ConfigError, match="dnl"):
+            build_delay_line(small_config(), spec, seed=1)
+
+    def test_directive_defaults(self):
+        assert parse_dnl(" Sine ") == ("sine", (0.25, 3.0, 0.0))
+        assert parse_dnl("random:-0.5") == ("random", (-0.5, 0.3))
+        assert parse_dnl("uniform") == ("uniform", ())
 
     def test_rejects_negative_jitter(self):
         with pytest.raises(ConfigError):
