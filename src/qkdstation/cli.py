@@ -107,8 +107,6 @@ def cmd_calibrate(args) -> int:
 def cmd_precision(args) -> int:
     cfg, _ = _load(args)
     profiles = build_profiles(cfg)  # a bad dnl spec fails before any output
-    out = Path(args.output or "out")
-    out.mkdir(parents=True, exist_ok=True)
     delay = cfg.precision.cable_delay
     if delay is None:
         delay = cal.decorrelation_cable_delay(cfg.tdc)
@@ -129,6 +127,8 @@ def cmd_precision(args) -> int:
             f"per-channel RMS {report.per_channel_rms:.3f} ps "
             f"(mean interval {report.mean_interval:.3f} ps, n={report.n_samples})"
         )
+    out = Path(args.output or "out")  # made once every report stands
+    out.mkdir(parents=True, exist_ok=True)
     path = out / "precision.csv"
     write_csv(
         path,

@@ -13,7 +13,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 
 from .errors import ConfigError
@@ -89,6 +89,10 @@ class ExperimentConfig:
             raise ConfigError("enabled channel id out of range")
         if any(not 0 <= c < self.tdc.n_channels for pair in self.precision.pairs for c in pair):
             raise ConfigError("precision pair channel id out of range")
+        if self.f_ec < 1:
+            raise ConfigError("f_ec must be at least 1")
+        if self.offset_bound < 0:
+            raise ConfigError("offset_bound_ps must be nonnegative")
         if 2 * self.offset_bound >= self.link.sync_period:
             raise ConfigError(
                 "offset_bound must be below half the sync period for "
@@ -141,113 +145,118 @@ def check_windows(windows, pulse_period: float) -> list[float]:
     return w
 
 
-def _float(sec, key, default) -> float:
-    """``sec[key]``, or ``default`` when it is absent, as a finite float."""
-    value = float(sec.get(key, default))
+def _float(text: str) -> float:
+    value = float(text)
     if not math.isfinite(value):
-        raise ConfigError(f"{key} must be a finite number, not {value}")
+        raise ValueError(f"{value} is not a finite number")
     return value
 
 
-def _floats(sec, key, default="") -> tuple[float, ...]:
-    # each listed value is checked as if it were the key's only value
-    return tuple(_float({key: x}, key, x) for x in sec.get(key, default).replace(",", " ").split())
+def _list(parse):
+    """``parse`` over each item of a comma- or space-separated list."""
+    return lambda text: tuple(parse(x) for x in text.replace(",", " ").split())
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.replace(",", " ").split())
+def _pairs(text: str) -> tuple[tuple[int, int], ...]:
+    flat = _list(int)(text)
+    if len(flat) % 2:
+        raise ValueError("channel ids must come in pairs")
+    return tuple(zip(flat[::2], flat[1::2]))
+
+
+def _unless(word: str, parse, value):
+    """``parse``, except that ``word`` in any case, or an empty value,
+    reads as ``value``."""
+    return lambda text: value if text.strip().lower() in ("", word) else parse(text)
+
+
+# (section, key, target, field, parse, default) of every key the parser
+# reads. A default of MISSING is the target dataclass's own.
+_KEYS = (
+    ("tdc", "clock_period_ps", TdcConfig, "clock_period", _float, MISSING),
+    ("tdc", "n_taps", TdcConfig, "n_taps", int, MISSING),
+    ("tdc", "n_channels", TdcConfig, "n_channels", int, MISSING),
+    ("tdc", "dead_time_ps", TdcConfig, "dead_time", _float, MISSING),
+    ("tdc", "dnl", ExperimentConfig, "dnl_spec", str.strip, "uniform"),
+    ("tdc", "jitter_sigma_ps", ExperimentConfig, "jitter_sigma", _list(_float), ()),
+    ("tdc", "enabled", ExperimentConfig, "enabled_channels", _unless("all", _list(int), ()), ()),
+    ("link", "loss_db", LinkModel, "loss_db", _float, MISSING),
+    ("link", "background_rate_hz", LinkModel, "background_rate", _float, MISSING),
+    ("link", "pulse_period_ps", LinkModel, "pulse_period", _float, MISSING),
+    ("link", "sync_period_ps", LinkModel, "sync_period", _float, MISSING),
+    ("link", "mean_photon_number", LinkModel, "mean_photon_number", _float, MISSING),
+    ("detectors", "efficiency", DetectorModel, "efficiency", _float, MISSING),
+    ("detectors", "dark_rate_hz", DetectorModel, "dark_rate", _float, MISSING),
+    ("detectors", "jitter_sigma_ps", DetectorModel, "jitter_sigma", _float, MISSING),
+    ("detectors", "dead_time_ps", DetectorModel, "det_dead_time", _float, MISSING),
+    ("detectors", "intrinsic_error", DetectorModel, "intrinsic_error", _float, MISSING),
+    ("clock", "offset_ps", ClockModel, "offset", _float, MISSING),
+    ("clock", "drift_ppm", ClockModel, "drift_ppm", _float, MISSING),
+    ("clock", "offset_bound_ps", ExperimentConfig, "offset_bound", _float, 450_000.0),
+    ("session", "length_s", ExperimentConfig, "session_length_s", _float, 0.01),
+    ("session", "basis_bias", ExperimentConfig, "basis_bias", _float, 0.5),
+    ("session", "bit_bias", ExperimentConfig, "bit_bias", _float, 0.5),
+    ("session", "disclose_fraction", ExperimentConfig, "disclose_fraction", _float, 0.1),
+    ("session", "windows_ps", ExperimentConfig, "windows", _list(_float), (1000.0,)),
+    # None: the first window, filled in once the windows are known
+    ("session", "analysis_window_ps", ExperimentConfig, "analysis_window", _float, None),
+    ("session", "f_ec", ExperimentConfig, "f_ec", _float, 1.16),
+    ("session", "sync_jitter_sigma_ps", ExperimentConfig, "sync_jitter_sigma", _float, 60.0),
+    ("session", "seed", ExperimentConfig, "seed", int, MISSING),
+    ("session", "calibration_samples", ExperimentConfig, "calibration_samples", int, 1_000_000),
+    ("precision", "period_ps", PrecisionSettings, "period", _float, 100_000.0),
+    ("precision", "cable_delay_ps", PrecisionSettings, "cable_delay", _unless("auto", _float, None), None),
+    ("precision", "n_pulses", PrecisionSettings, "n_pulses", int, 100_000),
+    ("precision", "pairs", PrecisionSettings, "pairs", _unless("auto", _pairs, ()), ()),
+    ("output", "buffer_depth", ExperimentConfig, "buffer_depth", int, 65_536),
+    ("output", "link_rate_bytes_per_s", ExperimentConfig, "link_rate", _float, 35e6),
+)
 
 
 def load_config(path) -> ExperimentConfig:
     """Parse and validate a config file; raises ConfigError on problems."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    known = _reference_parser()  # sets every key the parser reads
+    known: dict[str, set[str]] = {parser.default_section: set()}
+    for section, key, *_ in _KEYS:
+        known.setdefault(section, set()).add(key)
     try:
         if not parser.read(str(path)):
             raise ConfigError(f"config file {path} not found or unreadable")
         for name in (parser.default_section, *parser.sections()):
             if name not in known:
                 raise ConfigError(f"unknown config section [{name}]")
-            unknown = sorted(set(parser[name]) - set(known[name]))
+            unknown = sorted(set(parser[name]) - known[name])
             if unknown:
                 raise ConfigError(f"unknown key {', '.join(unknown)} in [{name}]")
         return _config_from_parser(parser)
-    except (ValueError, KeyError, configparser.Error) as exc:
+    except (ValueError, configparser.Error) as exc:
         raise ConfigError(f"bad config {path}: {exc}") from exc
 
 
 def _config_from_parser(p: configparser.ConfigParser) -> ExperimentConfig:
-    tdc_sec = p["tdc"] if p.has_section("tdc") else {}
-    tdc = TdcConfig(
-        clock_period=_float(tdc_sec, "clock_period_ps", 6250.0),
-        n_taps=int(tdc_sec.get("n_taps", 261)),
-        n_channels=int(tdc_sec.get("n_channels", 16)),
-        dead_time=_float(tdc_sec, "dead_time_ps", 30_000.0),
-    )
-    link_sec = p["link"] if p.has_section("link") else {}
-    link = LinkModel(
-        loss_db=_float(link_sec, "loss_db", 10.0),
-        background_rate=_float(link_sec, "background_rate_hz", 30_000.0),
-        pulse_period=_float(link_sec, "pulse_period_ps", 10_000.0),
-        sync_period=_float(link_sec, "sync_period_ps", 2_000_000.0),
-        mean_photon_number=_float(link_sec, "mean_photon_number", 0.5),
-    )
-    det_sec = p["detectors"] if p.has_section("detectors") else {}
-    detectors = DetectorModel(
-        efficiency=_float(det_sec, "efficiency", 0.5),
-        dark_rate=_float(det_sec, "dark_rate_hz", 1000.0),
-        jitter_sigma=_float(det_sec, "jitter_sigma_ps", 60.0),
-        det_dead_time=_float(det_sec, "dead_time_ps", 50_000.0),
-        intrinsic_error=_float(det_sec, "intrinsic_error", 0.015),
-    )
-    clk_sec = p["clock"] if p.has_section("clock") else {}
-    clock = ClockModel(
-        offset=_float(clk_sec, "offset_ps", 0.0),
-        drift_ppm=_float(clk_sec, "drift_ppm", 0.0),
-    )
-    ses = p["session"] if p.has_section("session") else {}
-    if "seed" not in ses:
-        raise ConfigError("[session] seed is mandatory; runs carry no wall-clock entropy")
-    prec_sec = p["precision"] if p.has_section("precision") else {}
-    pairs: tuple[tuple[int, int], ...] = ()
-    if "pairs" in prec_sec and prec_sec["pairs"].strip().lower() != "auto":
-        flat = _ints(prec_sec["pairs"])
-        if len(flat) % 2:
-            raise ConfigError("precision pairs must list channel ids in pairs")
-        pairs = tuple(zip(flat[::2], flat[1::2]))
-    cable_raw = prec_sec.get("cable_delay_ps", "").strip() if prec_sec else ""
-    precision = PrecisionSettings(
-        period=_float(prec_sec, "period_ps", 100_000.0),
-        cable_delay=_float(prec_sec, "cable_delay_ps", None) if cable_raw and cable_raw.lower() != "auto" else None,
-        n_pulses=int(prec_sec.get("n_pulses", 100_000)),
-        pairs=pairs,
-    )
-    enabled: tuple[int, ...] = ()
-    if "enabled" in tdc_sec and tdc_sec["enabled"].strip().lower() != "all":
-        enabled = _ints(tdc_sec["enabled"])
-    windows = _floats(ses, "windows_ps", "1000")
+    args: dict[type, dict] = {}
+    for section, key, target, name, parse, default in _KEYS:
+        text, value = p.get(section, key, fallback=None), default
+        if text is not None:
+            try:
+                value = parse(text)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}") from None
+        elif default is MISSING:
+            value = {f.name: f.default for f in fields(target)}[name]
+            if value is MISSING:  # only the seed: runs carry no wall-clock entropy
+                raise ConfigError(f"[{section}] {key} is mandatory")
+        args.setdefault(target, {})[name] = value
+    own = args[ExperimentConfig]
+    if own["analysis_window"] is None:
+        own["analysis_window"] = own["windows"][0] if own["windows"] else 0.0
     return ExperimentConfig(
-        tdc=tdc,
-        link=link,
-        detectors=detectors,
-        clock=clock,
-        dnl_spec=tdc_sec.get("dnl", "uniform").strip(),
-        jitter_sigma=_floats(tdc_sec, "jitter_sigma_ps"),
-        enabled_channels=enabled,
-        offset_bound=_float(clk_sec, "offset_bound_ps", 450_000.0),
-        session_length_s=_float(ses, "length_s", 0.01),
-        basis_bias=_float(ses, "basis_bias", 0.5),
-        bit_bias=_float(ses, "bit_bias", 0.5),
-        disclose_fraction=_float(ses, "disclose_fraction", 0.1),
-        windows=windows,
-        analysis_window=_float(ses, "analysis_window_ps", windows[0] if windows else 0.0),
-        f_ec=_float(ses, "f_ec", 1.16),
-        sync_jitter_sigma=_float(ses, "sync_jitter_sigma_ps", 60.0),
-        seed=int(ses["seed"]),
-        calibration_samples=int(ses.get("calibration_samples", 1_000_000)),
-        buffer_depth=int(p.get("output", "buffer_depth", fallback=65_536)),
-        link_rate=_float(p["output"] if p.has_section("output") else {}, "link_rate_bytes_per_s", 35e6),
-        precision=precision,
+        tdc=TdcConfig(**args[TdcConfig]),
+        link=LinkModel(**args[LinkModel]),
+        detectors=DetectorModel(**args[DetectorModel]),
+        clock=ClockModel(**args[ClockModel]),
+        precision=PrecisionSettings(**args[PrecisionSettings]),
+        **own,
     )
 
 
@@ -256,12 +265,6 @@ def reference_config_text() -> str:
     return (
         resources.files("qkdstation.data").joinpath("reference.ini").read_text()
     )
-
-
-def _reference_parser() -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    parser.read_string(reference_config_text())
-    return parser
 
 
 @dataclass

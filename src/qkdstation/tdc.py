@@ -274,7 +274,7 @@ def digitize_stream(
     next clock edge, shifted by one jitter draw from ``rng`` when the
     profile has jitter, so the draws follow the accepted hits in order.
     """
-    _check_channel(profile.channel, profile, config)
+    _check_channel(profile, config)
     t = np.asarray(times, dtype=float)
     if t.size and t[0] < 0:
         raise ConfigError("hit times must be nonnegative (counter epoch is t=0)")
@@ -324,14 +324,10 @@ def reconstruct_stream(
     )
 
 
-def _check_channel(channel: int, profile: DelayLineProfile, config: TdcConfig):
-    if not 0 <= channel < config.n_channels:
+def _check_channel(profile: DelayLineProfile, config: TdcConfig):
+    if not 0 <= profile.channel < config.n_channels:
         raise ConfigError(
-            f"channel {channel} outside configured range 0..{config.n_channels - 1}"
-        )
-    if profile.channel != channel:
-        raise ConfigError(
-            f"profile belongs to channel {profile.channel}, hit on channel {channel}"
+            f"channel {profile.channel} outside configured range 0..{config.n_channels - 1}"
         )
     if profile.n_taps != config.n_taps or not math.isclose(
         profile.period, config.clock_period, rel_tol=1e-9

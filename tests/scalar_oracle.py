@@ -176,9 +176,15 @@ def digitize(
 
     Returns the record, or None when the hit is discarded; the cause is
     tallied on ``state``. Hits must be presented in arrival-time order
-    per channel.
+    per channel. A hit on another channel than the profile's raises
+    ConfigError: unlike ``digitize_stream``, which takes its channel from
+    the profile, this route is handed the two separately.
     """
-    _check_channel(hit.channel, profile, config)
+    if hit.channel != profile.channel:
+        raise ConfigError(
+            f"profile belongs to channel {profile.channel}, hit on channel {hit.channel}"
+        )
+    _check_channel(profile, config)
     if not state.enabled:
         state.rejected_disabled += 1
         return None

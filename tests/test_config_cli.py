@@ -1,3 +1,4 @@
+import configparser
 import csv
 import importlib.util
 import json
@@ -14,9 +15,15 @@ from shipped_config import load_reference
 
 from qkdstation import session
 from qkdstation.cli import main
-from qkdstation.config import load_config, reference_config_text
+from qkdstation.config import (
+    _KEYS,
+    ExperimentConfig,
+    PrecisionSettings,
+    load_config,
+    reference_config_text,
+)
 from qkdstation.errors import ConfigError
-from qkdstation.qkd import _SIDECAR_FIXED
+from qkdstation.qkd import _SIDECAR_FIXED, ClockModel, DetectorModel, LinkModel
 from qkdstation.readout import (
     FINE_BITS,
     HEADER_SIZE,
@@ -194,6 +201,55 @@ class TestConfigKeys:
         path.write_text(text())
         load_config(path)
 
+    def test_reference_sets_exactly_the_table_keys(self):
+        parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+        parser.read_string(reference_config_text())
+        table = {(section, key) for section, key, *_ in _KEYS}
+        assert {(s, k) for s in parser.sections() for k in parser[s]} == table
+        assert len(table) == len(_KEYS) == 36
+
+    def test_seed_only_loads_the_documented_defaults(self, tmp_path):
+        """Every field at the default README "Configuration" lists."""
+        path = tmp_path / "seed.ini"
+        path.write_text("[session]\nseed = 9\n")
+        assert load_config(path) == ExperimentConfig(
+            tdc=TdcConfig(clock_period=6250.0, n_taps=261, n_channels=16, dead_time=30_000.0),
+            link=LinkModel(
+                loss_db=10.0,
+                background_rate=30_000.0,
+                pulse_period=10_000.0,
+                sync_period=2_000_000.0,
+                mean_photon_number=0.5,
+            ),
+            detectors=DetectorModel(
+                efficiency=0.5,
+                dark_rate=1000.0,
+                jitter_sigma=60.0,
+                det_dead_time=50_000.0,
+                intrinsic_error=0.015,
+            ),
+            clock=ClockModel(offset=0.0, drift_ppm=0.0),
+            dnl_spec="uniform",
+            jitter_sigma=(),
+            enabled_channels=(),
+            offset_bound=450_000.0,
+            session_length_s=0.01,
+            basis_bias=0.5,
+            bit_bias=0.5,
+            disclose_fraction=0.1,
+            windows=(1000.0,),
+            analysis_window=1000.0,
+            f_ec=1.16,
+            sync_jitter_sigma=60.0,
+            seed=9,
+            calibration_samples=1_000_000,
+            buffer_depth=65_536,
+            link_rate=35e6,
+            precision=PrecisionSettings(
+                period=100_000.0, cable_delay=None, n_pulses=100_000, pairs=()
+            ),
+        )
+
     @pytest.mark.parametrize(
         "old,new,named",
         [
@@ -244,13 +300,21 @@ class TestConfigKeys:
             ("run", "dnl = sine:0.2:3", "dnl = sine:2", "dnl"),
             ("calibrate", "dnl = sine:0.2:3", "dnl = sine:2", "dnl"),
             ("precision", "dnl = sine:0.2:3", "dnl = sine:2", "dnl"),
+            ("run", "seed = 77", "seed = 77\nf_ec = 0.5", "f_ec"),
+            ("run", "offset_bound_ps = 400000.0", "offset_bound_ps = -1", "offset_bound"),
+            ("run", "loss_db = 6.0", "loss_db = abc", "[link] loss_db"),
+            ("calibrate", "[tdc]\n", "[tdc]\nn_taps = 2.5\n", "[tdc] n_taps"),
+            ("precision", "seed = 77", "seed = 1e3", "[session] seed"),
+            ("run", "[precision]", "[output]\nbuffer_depth = big\n[precision]", "[output] buffer_depth"),
         ],
         ids=["no_windows", "nan_background", "nan_loss", "nan_clock", "nan_drift",
              "pair_too_high", "pair_negative", "window_too_wide", "window_negative",
              "calibrate_window_too_wide", "dnl_not_number", "calibrate_dnl_nan",
              "precision_dnl_inf", "dnl_random_nan", "calibrate_dnl_random_reversed",
              "precision_dnl_unknown", "dnl_negative_tap", "calibrate_dnl_negative_tap",
-             "precision_dnl_negative_tap"],
+             "precision_dnl_negative_tap", "reconciliation_below_shannon",
+             "negative_prior", "attenuation_word", "calibrate_fractional_count",
+             "precision_root_in_exponent_form", "depth_word"],
     )
     def test_bad_value_exit_2(self, tmp_path, capsys, command, old, new, named):
         assert SMALL_CONFIG.count(old) == 1
@@ -324,13 +388,27 @@ class TestCliPrecision:
             rms = float(r["per_channel_rms_ps"])
             assert float(r["raw_std_ps"]) == pytest.approx(rms * np.sqrt(2), abs=1e-5)
 
-    def test_refuses_small_n(self, tmp_path):
+    @staticmethod
+    def _refused(tmp_path, setting):
+        """Exit code of a two-channel precision test with ``setting``;
+        a refused test must leave no output directory."""
         path = tmp_path / "cfg.ini"
         path.write_text(
-            "[tdc]\nn_channels = 2\n[session]\nseed = 1\n"
-            "[precision]\nn_pulses = 5000\n"
+            f"[tdc]\nn_channels = 2\n[session]\nseed = 1\n[precision]\n{setting}\n"
         )
-        assert main(["precision", "--config", str(path)]) == 2
+        out = tmp_path / "out"
+        code = main(["precision", "--config", str(path), "--output", str(out)])
+        assert not out.exists()
+        return code
+
+    def test_refuses_small_n(self, tmp_path):
+        assert self._refused(tmp_path, "n_pulses = 5000") == 2
+
+    def test_refuses_period_within_dead_time(self, tmp_path):
+        assert self._refused(tmp_path, "period_ps = 20000") == 2
+
+    def test_refuses_cable_delay_before_epoch(self, tmp_path):
+        assert self._refused(tmp_path, "cable_delay_ps = -1e9") == 2
 
 
 class TestCliRunAnalyze:

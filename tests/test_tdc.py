@@ -167,6 +167,12 @@ class TestDigitize:
         with pytest.raises(ConfigError):
             digitize(RawHit(5, 1000.0), p, ChannelState(), cfg)
 
+    def test_hit_on_other_channel_than_profile(self):
+        cfg = small_config()
+        p = build_delay_line(cfg, channel=1)
+        with pytest.raises(ConfigError, match="belongs to channel 1"):
+            digitize(RawHit(0, 1000.0), p, ChannelState(), cfg)
+
 
 class TestReconstruct:
     def test_on_edge_convention(self):
