@@ -10,6 +10,11 @@ Subcommands:
 
 Exit codes: 0 success, 1 analysis failure (lost sync, no key, broken
 calibration), 2 configuration or file-format error.
+
+``main`` decides how a command ends: if it raises, ``main`` removes the
+top-most directory of ``--output`` that was missing before the call. A
+command that returns keeps its files, even when ``run`` or ``analyze``
+exits 1 because every window sifted zero bits (no key).
 """
 
 from __future__ import annotations
@@ -22,20 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import calibration as cal
-from .config import (
-    ExperimentConfig,
-    file_digest,
-    load_config,
-    reference_config_text,
-    write_csv,
-)
-from .errors import (
-    CalibrationError,
-    ConfigError,
-    FileFormatError,
-    StationError,
-    SyncRecoveryError,
-)
+from .config import file_digest, load_config, reference_config_text, write_csv
+from .errors import ConfigError, FileFormatError, StationError
 from .readout import write_timetag_file
 from .session import (
     analyze_files,
@@ -61,14 +54,10 @@ def cmd_init(args) -> int:
     return EXIT_OK
 
 
-def _load(args) -> tuple[ExperimentConfig, str]:
-    return load_config(args.config), file_digest(args.config)
-
-
 def cmd_calibrate(args) -> int:
-    cfg, _ = _load(args)
-    profiles = build_profiles(cfg)  # a bad dnl spec fails before any output
-    out = Path(args.output or "out")
+    cfg = load_config(args.config)
+    profiles = build_profiles(cfg)
+    out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     tables = calibrate_all(cfg, profiles)
     write_timetag_file(
@@ -105,8 +94,8 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_precision(args) -> int:
-    cfg, _ = _load(args)
-    profiles = build_profiles(cfg)  # a bad dnl spec fails before any output
+    cfg = load_config(args.config)
+    profiles = build_profiles(cfg)
     delay = cfg.precision.cable_delay
     if delay is None:
         delay = cal.decorrelation_cable_delay(cfg.tdc)
@@ -127,7 +116,7 @@ def cmd_precision(args) -> int:
             f"per-channel RMS {report.per_channel_rms:.3f} ps "
             f"(mean interval {report.mean_interval:.3f} ps, n={report.n_samples})"
         )
-    out = Path(args.output or "out")  # made once every report stands
+    out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "precision.csv"
     write_csv(
@@ -149,15 +138,20 @@ def cmd_precision(args) -> int:
     return EXIT_OK
 
 
-def cmd_run(args) -> int:
-    cfg, digest = _load(args)
-    artifacts = run_session(cfg, args.output or "out", digest)
-    print(describe(artifacts))
-    print(f"artifacts in {artifacts.manifest_path.parent}")
-    if artifacts.summary_report.sifted_bits == 0:
+def _key_exit(reports) -> int:
+    """The no-key rule of ``run`` and ``analyze``: every window sifted 0 bits."""
+    if all(r.sifted_bits == 0 for r in reports):
         print("no sifted bits: session produced no key", file=sys.stderr)
         return EXIT_ANALYSIS
     return EXIT_OK
+
+
+def cmd_run(args) -> int:
+    cfg = load_config(args.config)
+    artifacts = run_session(cfg, args.output, file_digest(args.config))
+    print(describe(artifacts))
+    print(f"artifacts in {artifacts.manifest_path.parent}")
+    return _key_exit(artifacts.reports)
 
 
 def cmd_analyze(args) -> int:
@@ -171,16 +165,10 @@ def cmd_analyze(args) -> int:
                 raise ConfigError(
                     f"--windows item {item!r} is not a number"
                 ) from None
-    out = Path(args.output or "out")
-    made = [d for d in (out, *out.parents) if not d.exists()]
+    out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     pairs_out = out / "matched_pairs.csv" if args.dump_pairs else None
-    try:
-        reports, clock = analyze_files(args.timetag, args.sidecar, windows, pairs_out)
-    except BaseException:
-        if made:  # a failed analysis leaves no directory of its own making
-            shutil.rmtree(made[-1])
-        raise
+    reports, clock = analyze_files(args.timetag, args.sidecar, windows, pairs_out)
     path = out / "sift_reports.csv"
     write_sift_csv(reports, path)
     if pairs_out is not None:
@@ -194,9 +182,7 @@ def cmd_analyze(args) -> int:
         f"clock offset {clock.offset_hat:.1f} ps, drift {clock.drift_hat_ppm:.3f} ppm; "
         f"reports in {path}"
     )
-    if all(r.sifted_bits == 0 for r in reports):
-        return EXIT_ANALYSIS
-    return EXIT_OK
+    return _key_exit(reports)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -218,14 +204,14 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="experiment config file")
-        p.add_argument("--output", help="output directory (default: out)")
+        p.add_argument("--output", default="out", help="output directory (default: out)")
         p.set_defaults(func=func)
 
     p = sub.add_parser("analyze", help="offline replay of run artifacts")
     p.add_argument("timetag", help="time-tag file from a run")
     p.add_argument("sidecar", help="Alice sidecar file from the same run")
     p.add_argument("--windows", help="comma-separated window list in ps")
-    p.add_argument("--output", help="output directory (default: out)")
+    p.add_argument("--output", default="out", help="output directory (default: out)")
     p.add_argument(
         "--dump-pairs",
         action="store_true",
@@ -236,17 +222,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    out = Path(getattr(args, "output", "."))  # init takes no --output
+    made = [d for d in (out, *out.parents) if not d.exists()]
     try:
-        return args.func(args)
+        try:
+            return args.func(args)
+        except BaseException:  # a failed command leaves no directory it made
+            if made and made[-1].exists():
+                shutil.rmtree(made[-1])
+            raise
     except (ConfigError, FileFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (CalibrationError, SyncRecoveryError, StationError) as exc:
+    except StationError as exc:  # calibration, sync recovery, ...
         print(f"analysis failed: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
 

@@ -98,6 +98,8 @@ class ExperimentConfig:
                 "offset_bound must be below half the sync period for "
                 "unambiguous clock recovery"
             )
+        if abs(self.clock.offset) > self.offset_bound:
+            raise ConfigError("[clock] offset_ps must lie in [-offset_bound_ps, offset_bound_ps]")
         if self.calibration_samples < 100_000:
             raise ConfigError("calibration needs at least 1e5 stimulus hits")
         if self.buffer_depth <= 0 or self.link_rate <= 0:

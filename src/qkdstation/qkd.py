@@ -127,9 +127,6 @@ class AliceBlock:
     def n(self) -> int:
         return self.bases.size
 
-    def emit_times(self, pulse_period: float) -> np.ndarray:
-        return np.arange(self.n, dtype=float) * pulse_period
-
 
 @dataclass
 class DetectionSet:
@@ -252,7 +249,6 @@ def simulate_link(
     """
     rng = np.random.default_rng(seed)
     n = alice.n
-    emit = alice.emit_times(link.pulse_period)
     p_det = min(
         1.0, link.mean_photon_number * link.attenuation * detectors.efficiency
     )
@@ -268,7 +264,7 @@ def simulate_link(
     bob_bit = np.where(same, alice.bits[idx] ^ flip, random_bit).astype(np.uint8)
     det = (bob_basis << 1) | bob_bit
 
-    t_bob = clock.to_receiver(emit[idx])
+    t_bob = clock.to_receiver(idx * link.pulse_period)
     if detectors.jitter_sigma > 0:
         t_bob = t_bob + rng.normal(0.0, detectors.jitter_sigma, k)
     signal = DetectionSet(times=t_bob, detectors=det, origins=idx.astype(np.int64))

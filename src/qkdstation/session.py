@@ -277,7 +277,7 @@ def run_session(
     cfg: ExperimentConfig, out_dir, config_digest: str = ""
 ) -> SessionArtifacts:
     """Execute the full pipeline and write all artifacts into ``out_dir``."""
-    profiles = build_profiles(cfg)  # a bad dnl spec fails before any output
+    profiles = build_profiles(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     timetag_path = out / "session.qtt"

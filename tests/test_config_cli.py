@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from match_oracle import write_reference_pairs
 from shipped_config import load_reference
 
-from qkdstation import session
+from qkdstation import cli, session
 from qkdstation.cli import main
 from qkdstation.config import (
     _KEYS,
@@ -22,7 +22,7 @@ from qkdstation.config import (
     load_config,
     reference_config_text,
 )
-from qkdstation.errors import ConfigError
+from qkdstation.errors import CalibrationError, ConfigError
 from qkdstation.qkd import _SIDECAR_FIXED, ClockModel, DetectorModel, LinkModel
 from qkdstation.readout import (
     FINE_BITS,
@@ -306,6 +306,11 @@ class TestConfigKeys:
             ("calibrate", "[tdc]\n", "[tdc]\nn_taps = 2.5\n", "[tdc] n_taps"),
             ("precision", "seed = 77", "seed = 1e3", "[session] seed"),
             ("run", "[precision]", "[output]\nbuffer_depth = big\n[precision]", "[output] buffer_depth"),
+            # an offset outside the prior: one sync period late, early past
+            # the bound, and so late that the readout tick range overflows
+            ("run", "offset_ps = 150000.0", "offset_ps = 2100000", "offset_ps"),
+            ("run", "offset_ps = 150000.0", "offset_ps = -500000", "offset_ps"),
+            ("run", "offset_ps = 150000.0", "offset_ps = 1e30", "offset_ps"),
         ],
         ids=["no_windows", "nan_background", "nan_loss", "nan_clock", "nan_drift",
              "pair_too_high", "pair_negative", "window_too_wide", "window_negative",
@@ -314,7 +319,8 @@ class TestConfigKeys:
              "precision_dnl_unknown", "dnl_negative_tap", "calibrate_dnl_negative_tap",
              "precision_dnl_negative_tap", "reconciliation_below_shannon",
              "negative_prior", "attenuation_word", "calibrate_fractional_count",
-             "precision_root_in_exponent_form", "depth_word"],
+             "precision_root_in_exponent_form", "depth_word",
+             "clock_a_sync_period_late", "clock_early_past_prior", "clock_past_every_tick"],
     )
     def test_bad_value_exit_2(self, tmp_path, capsys, command, old, new, named):
         assert SMALL_CONFIG.count(old) == 1
@@ -708,19 +714,70 @@ class TestCliRunAnalyze:
         assert err.startswith("analysis failed: ") and "DLASCL" not in err
         assert not (tmp_path / "a").exists()
 
-    def test_failed_analyze_leaves_no_output_dir(self, small_run, tmp_path, capfd):
-        short = tmp_path / "session.qtt"
-        short.write_bytes((small_run / "session.qtt").read_bytes()[:100])
-        args = ["analyze", str(short), str(small_run / "alice.qac"), "--output"]
-        assert main(args + [str(tmp_path / "new" / "out")]) == 2
-        assert "truncated body" in capfd.readouterr().err
+    @pytest.mark.parametrize("command", ["analyze", "run", "calibrate"])
+    def test_failed_command_leaves_no_output_dir(
+        self, small_run, tmp_path, capfd, monkeypatch, command
+    ):
+        if command == "analyze":
+            short = tmp_path / "session.qtt"
+            short.write_bytes((small_run / "session.qtt").read_bytes()[:100])
+            args = ["analyze", str(short), str(small_run / "alice.qac")]
+            code, said = 2, "truncated body"
+        elif command == "run":
+            # the sync detector's channel 4 is off: the run writes its
+            # artifacts, then finds no clock in them
+            path = tmp_path / "no_sync.ini"
+            path.write_text(SMALL_CONFIG.replace("[tdc]\n", "[tdc]\nenabled = 0, 1, 2, 3\n"))
+            args = ["run", "--config", str(path)]
+            code, said = 1, "need at least 2 sync detections"
+        else:
+
+            def broken(cfg, profiles):
+                raise CalibrationError("delay line looks broken")
+
+            monkeypatch.setattr(cli, "calibrate_all", broken)
+            path = tmp_path / "small.ini"
+            path.write_text(SMALL_CONFIG)
+            args = ["calibrate", "--config", str(path)]
+            code, said = 1, "delay line looks broken"
+        capfd.readouterr()
+        assert main(args + ["--output", str(tmp_path / "new" / "out")]) == code
+        assert said in capfd.readouterr().err
         assert not (tmp_path / "new").exists()
         # a directory that was there before the call is left as it was
         kept = tmp_path / "kept"
         kept.mkdir()
         (kept / "note.txt").write_text("mine")
-        assert main(args + [str(kept)]) == 2
+        assert main(args + ["--output", str(kept)]) == code
         assert (kept / "note.txt").read_text() == "mine"
+
+    @pytest.mark.parametrize(
+        "text,code",
+        [
+            # the 1 ps analysis window sifts nothing, the 4000 ps one a key
+            (
+                SMALL_CONFIG.replace("length_s = 0.002", "length_s = 0.00002")
+                .replace("windows_ps = 500, 1000, 2000", "windows_ps = 1, 4000")
+                .replace("analysis_window_ps = 1000", "analysis_window_ps = 1"),
+                0,
+            ),
+            (ZERO_NOISE_CONFIG.replace("loss_db = 3.0", "loss_db = 90.0"), 1),
+        ],
+        ids=["narrow_analysis_window", "dead_link"],
+    )
+    def test_run_and_analyze_share_the_no_key_rule(self, tmp_path, capfd, text, code):
+        path = tmp_path / "session.ini"
+        path.write_text(text)
+        out = tmp_path / "out"
+        capfd.readouterr()
+        assert main(["run", "--config", str(path), "--output", str(out)]) == code
+        run_err = capfd.readouterr().err
+        rows = list(csv.DictReader((out / "sift_reports.csv").open()))
+        assert any(int(r["sifted_bits"]) == 0 for r in rows)
+        args = ["analyze", str(out / "session.qtt"), str(out / "alice.qac")]
+        assert main(args + ["--output", str(tmp_path / "a")]) == code
+        assert capfd.readouterr().err == run_err
+        assert ("no key" in run_err) == (code == 1)
 
     def test_dead_link_no_key_exit_1(self, tmp_path):
         path = tmp_path / "dead.ini"
