@@ -65,7 +65,7 @@ class ExperimentConfig:
     seed: int
     calibration_samples: int
     buffer_depth: int
-    link_rate: float  # bytes/s to the host
+    link_rate: float  # whole bytes/s to the host
     precision: PrecisionSettings
 
     def __post_init__(self):
@@ -104,6 +104,8 @@ class ExperimentConfig:
             raise ConfigError("calibration needs at least 1e5 stimulus hits")
         if self.buffer_depth <= 0 or self.link_rate <= 0:
             raise ConfigError("buffer depth and link rate must be positive")
+        if not float(self.link_rate).is_integer():
+            raise ConfigError("[output] link_rate_bytes_per_s must be whole bytes per second")
         parse_dnl(self.dnl_spec)
 
     @property

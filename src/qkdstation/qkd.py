@@ -37,6 +37,9 @@ ORIGIN_BACKGROUND = -1
 ORIGIN_DARK = -2
 
 PS_PER_S = 1e12
+# Per-pulse uniforms are drawn this many at a time into one reused
+# float64 buffer (512 KiB); the stream equals one rng.random(n) call.
+DRAW_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -200,15 +203,31 @@ def gen_random_code(
 ) -> AliceBlock:
     """Draw Alice's encoding: P(basis = Z) = basis_bias, P(bit = 1) = bit_bias.
 
-    Draw order (one array for bases, then one for bits) is part of the
-    reproducibility contract.
+    Draw order (n uniforms for the bases, then n for the bits) is part of
+    the reproducibility contract.
     """
     if not 0 <= basis_bias <= 1 or not 0 <= bit_bias <= 1:
         raise ConfigError("biases must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    bases = (rng.random(n) >= basis_bias).astype(np.uint8)
-    bits = (rng.random(n) < bit_bias).astype(np.uint8)
+    bases = np.empty(n, dtype=np.uint8)
+    bits = np.empty(n, dtype=np.uint8)
+    for out, compare, bias in (
+        (bases, np.greater_equal, basis_bias),
+        (bits, np.less, bit_bias),
+    ):
+        for lo, u in _uniform_chunks(rng, n):
+            compare(u, bias, out=out[lo : lo + u.size])
     return AliceBlock(bases=bases, bits=bits)
+
+
+def _uniform_chunks(rng: np.random.Generator, n: int):
+    """(offset, uniforms) over the stream of ``rng.random(n)``, drawn
+    DRAW_CHUNK at a time into one buffer that each chunk overwrites."""
+    buf = np.empty(min(n, DRAW_CHUNK))
+    for lo in range(0, n, DRAW_CHUNK):
+        u = buf[: min(DRAW_CHUNK, n - lo)]
+        rng.random(out=u)
+        yield lo, u
 
 
 def poisson_background(
@@ -245,7 +264,8 @@ def simulate_link(
     splitter, lands on the matching detector with probability
     1 - intrinsic_error when the bases agree and uniformly otherwise.
     Background and dark counts arrive as per-detector Poisson processes;
-    detector dead time gates each detector's merged stream.
+    detector dead time gates each detector's stream, in which signal
+    comes before background, and background before dark, at equal times.
     """
     rng = np.random.default_rng(seed)
     n = alice.n
@@ -253,8 +273,10 @@ def simulate_link(
         1.0, link.mean_photon_number * link.attenuation * detectors.efficiency
     )
 
-    survive = rng.random(n) < p_det
-    idx = np.flatnonzero(survive)
+    idx = np.concatenate(
+        [np.flatnonzero(u < p_det) + lo for lo, u in _uniform_chunks(rng, n)]
+        or [np.empty(0, dtype=np.int64)]
+    )
     k = idx.size
 
     bob_basis = (rng.random(k) < 0.5).astype(np.uint8)
@@ -267,30 +289,34 @@ def simulate_link(
     t_bob = clock.to_receiver(idx * link.pulse_period)
     if detectors.jitter_sigma > 0:
         t_bob = t_bob + rng.normal(0.0, detectors.jitter_sigma, k)
-    signal = DetectionSet(times=t_bob, detectors=det, origins=idx.astype(np.int64))
 
     t0 = float(clock.to_receiver(0.0))
     t1 = float(clock.to_receiver(n * link.pulse_period))
     ledger = TruthLedger(emitted=n, lost=n - k)
-
-    streams = []
+    parts = [DetectionSet(times=t_bob, detectors=det, origins=idx)]
     for d in (DET_Z0, DET_Z1, DET_X0, DET_X1):
-        parts = [signal.select(signal.detectors == d)]
-        bg = poisson_background(
-            link.background_rate, t0, t1, d, ORIGIN_BACKGROUND, rng
+        parts.append(
+            poisson_background(link.background_rate, t0, t1, d, ORIGIN_BACKGROUND, rng)
         )
-        dark = poisson_background(detectors.dark_rate, t0, t1, d, ORIGIN_DARK, rng)
-        ledger.background_generated += bg.n
-        ledger.dark_generated += dark.n
-        merged = DetectionSet.merge(*parts, bg, dark)
-        keep, _ = gate_dead_time(merged.times, detectors.det_dead_time)
-        suppressed = merged.origins[~keep]
-        ledger.signal_suppressed += int(np.sum(suppressed >= 0))
-        ledger.background_suppressed += int(np.sum(suppressed == ORIGIN_BACKGROUND))
-        ledger.dark_suppressed += int(np.sum(suppressed == ORIGIN_DARK))
-        streams.append(merged.select(keep))
+        parts.append(poisson_background(detectors.dark_rate, t0, t1, d, ORIGIN_DARK, rng))
+    ledger.background_generated = sum(p.n for p in parts[1::2])
+    ledger.dark_generated = sum(p.n for p in parts[2::2])
 
-    out = DetectionSet.merge(*streams)
+    # each detector's hits in time order, ties in draw order (signal,
+    # background, dark), through that detector's dead-time gate
+    hits = DetectionSet.merge(*parts)
+    hits = hits.select(np.argsort(hits.detectors, kind="stable"))
+    edges = np.searchsorted(hits.detectors, np.arange(DET_X1 + 2)).tolist()
+    keep = np.concatenate(
+        [gate_dead_time(hits.times[lo:hi], detectors.det_dead_time)[0]
+         for lo, hi in zip(edges, edges[1:])]
+    )
+    suppressed = hits.origins[~keep]
+    ledger.signal_suppressed = int(np.sum(suppressed >= 0))
+    ledger.background_suppressed = int(np.sum(suppressed == ORIGIN_BACKGROUND))
+    ledger.dark_suppressed = int(np.sum(suppressed == ORIGIN_DARK))
+
+    out = DetectionSet.merge(hits.select(keep))
     ledger.signal_detected = int(np.sum(out.origins >= 0))
     ledger.background_detected = int(np.sum(out.origins == ORIGIN_BACKGROUND))
     ledger.dark_detected = int(np.sum(out.origins == ORIGIN_DARK))
@@ -370,7 +396,8 @@ def write_alice_sidecar(path, alice: AliceBlock, meta: SidecarMeta) -> None:
         alice.n,
         len(meta.windows),
     )
-    body = ((alice.bases.astype(np.uint8) << 1) | alice.bits).tobytes()
+    body = alice.bases << 1  # the one n-byte buffer the file body is built in
+    body |= alice.bits
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.asarray(meta.windows, dtype="<f8").tobytes())

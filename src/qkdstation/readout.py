@@ -37,6 +37,8 @@ _RESERVED_SHIFT = _ROLLOVER_SHIFT + 1  # 55
 
 WORD_SIZE = 8  # bytes
 TICK_PS = 1_000_000.0  # 1 us discrete-time step for the link simulation
+_WORD_UB = WORD_SIZE * 10**6  # a word's cost in micro-bytes, the link's unit of credit
+_WINDOW = 256  # ticks in the first look-ahead window after a regime switch
 
 
 def pack_words(
@@ -118,14 +120,20 @@ def stream(
 ) -> tuple[ReadoutBuffer, np.ndarray]:
     """Push time-stamped words through the bounded buffer and capped link.
 
-    Discrete-time simulation: within each tick all arrivals enqueue first
+    Discrete-time model: within each 1 us tick all arrivals enqueue first
     (dropping when the buffer is full), then the link drains whatever its
     accumulated byte budget allows. Returns the final buffer state and
     the indices of delivered words in delivery order. The byte budget is
-    work-conserving: an idle link accrues no credit.
+    work-conserving: an idle link accrues no credit. ``link_rate`` is a
+    whole number of bytes per second, so a tick adds exactly
+    ``link_rate`` micro-bytes of credit and the budget is an integer.
     """
     if depth <= 0:
         raise PackError("buffer depth must be positive")
+    if not (link_rate > 0 and float(link_rate).is_integer()):
+        raise PackError(
+            f"link rate {link_rate} is not a positive whole number of bytes per second"
+        )
     t = np.asarray(arrival_times, dtype=float)
     order = np.argsort(t, kind="stable")
     t = t[order]
@@ -134,33 +142,60 @@ def stream(
     if t.size == 0:
         return ReadoutBuffer(depth=depth), np.empty(0, dtype=np.int64)
 
-    bytes_per_tick = link_rate * TICK_PS / 1e12
-    n_ticks = int(np.floor(t[-1] / TICK_PS)) + 1
-    # First arrival index of each tick.
     tick_of = np.floor(t / TICK_PS).astype(np.int64)
-    starts = np.searchsorted(tick_of, np.arange(n_ticks + 1)).tolist()
+    arrivals = np.bincount(tick_of)
+    # the queue never holds more words than arrive, so the cap is exact
+    take, x = _link_takes(arrivals, min(depth, t.size), int(link_rate))
+    # each tick accepts its first ``take`` arrivals, and the link delivers
+    # the accepted words first in, first out
+    rank = np.arange(t.size) - (np.cumsum(arrivals) - arrivals)[tick_of]
+    accepted = order[rank < take[tick_of]]
+    occupancy = -(-x // _WORD_UB)
+    delivered = accepted.size - occupancy
+    buf = ReadoutBuffer(depth, occupancy, t.size - accepted.size, t.size, delivered)
+    return buf, accepted[:delivered].astype(np.int64)
 
-    accepted: list[np.ndarray] = []
-    occupancy = drops = delivered = 0
-    budget = 0.0
-    for lo, hi in zip(starts, starts[1:]):
-        if hi > lo:
-            take = min(depth - occupancy, hi - lo)
-            if take:
-                accepted.append(order[lo : lo + take])
-                occupancy += take
-            drops += hi - lo - take
-        budget += bytes_per_tick
-        can_drain = min(int(budget // WORD_SIZE), occupancy)
-        if can_drain:
-            occupancy -= can_drain
-            delivered += can_drain
-            budget -= can_drain * WORD_SIZE
-        if occupancy == 0:
-            budget = 0.0  # idle link accrues no credit
-    # the first arrival always finds room, so ``accepted`` is not empty
-    buf = ReadoutBuffer(depth, occupancy, drops, t.size, delivered)
-    return buf, np.concatenate(accepted)[:delivered].astype(np.int64)
+
+def _link_takes(arrivals: np.ndarray, depth: int, rate: int) -> tuple[np.ndarray, int]:
+    """Words each tick accepts, and X after the last tick, in closed form.
+
+    X = W * occupancy - budget in micro-bytes, with W the cost of a word,
+    so occupancy = ceil(X / W). Arrivals are capped at ``depth``, which
+    is exact from an empty queue. A tick whose capped arrivals fit obeys
+    Lindley's recursion X_t = max(0, X_{t-1} + W a_t - rate): a
+    cumulative sum minus its running minimum. A tick that overflows fills
+    the queue, so X = max(0, W * depth - its pre-drain budget), and in a
+    run of such ticks the budget only gains ``rate`` and sheds whole
+    words. A budget that drains the whole queue leaves X = 0, so the next
+    tick's capped arrivals fit and the run ends. The two regimes
+    alternate; each switch is searched for over a look-ahead window that
+    doubles until it holds one.
+    """
+    capped = np.minimum(arrivals, depth)
+    take = capped.copy()
+    # from X = 0 a rate of W * max(capped) or more keeps X at 0, so the
+    # clamp is exact; then the credit of every tick must fit 64 bits
+    rate = min(rate, _WORD_UB * int(capped.max()))
+    if capped.size * rate >= 2**62:
+        raise PackError(f"{capped.size} ticks at {rate} micro-bytes each overflow 64 bits")
+    x, pos, full, window = 0, 0, False, _WINDOW
+    while pos < capped.size:
+        a = capped[pos : pos + window]
+        if full:
+            budget = (-x % _WORD_UB + np.arange(a.size) * rate) % _WORD_UB + rate
+            xs = np.maximum(_WORD_UB * depth - budget, 0)
+        else:
+            s = np.cumsum(a * _WORD_UB - rate)
+            xs = s - np.minimum(np.minimum.accumulate(s), -x)
+        room = depth + np.concatenate(([-x], -xs[:-1])) // _WORD_UB
+        switch = np.flatnonzero((a > room) != full)
+        j = int(switch[0]) if switch.size else a.size
+        if full:
+            take[pos : pos + j] = room[:j]
+        x = int(xs[j - 1]) if j else x
+        pos += j
+        full, window = (not full, _WINDOW) if switch.size else (full, 2 * window)
+    return take, x
 
 
 # --- Time-tag file -----------------------------------------------------------

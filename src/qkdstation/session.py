@@ -176,7 +176,7 @@ def digitize_detections(
     co = np.concatenate(coarses)
     fi = np.concatenate(fines)
     ro = np.concatenate(rolls)
-    order = np.lexsort((ch, t))
+    order = np.argsort(t, kind="stable")  # ties stay in channel order
     return t[order], ch[order], co[order], fi[order], ro[order]
 
 
@@ -218,7 +218,7 @@ def analyze_files(
 
     sync_times = np.empty(0)
     data_times, data_dets = [], []
-    for c in np.unique(channel):
+    for c in np.flatnonzero(np.bincount(channel)):
         rows = np.flatnonzero(channel == c)
         # a coarse decrease is a counter wrap iff the rollover parity flips
         bad = np.flatnonzero((np.diff(coarse[rows]) < 0) != (np.diff(roll[rows]) != 0))

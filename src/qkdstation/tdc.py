@@ -7,8 +7,8 @@ counter of clock periods supplies the coarse time. The model covers
 nonuniform tap delays (DNL), sampling jitter, per-channel dead time, and
 timestamp reconstruction against a calibration table. It works on whole
 arrays of hits: the fine code is the number of comb boundaries a hit
-has passed, found by bisection, so the monotone comb never yields a
-bubble to filter.
+has passed, found by a lookup on a uniform grid, so the monotone comb
+never yields a bubble to filter.
 
 Conventions used throughout:
 
@@ -83,13 +83,17 @@ class DelayLineProfile:
 
     ``boundaries[k]`` is the cumulative delay through taps 0..k; a hit a
     time ``delta`` before the next clock edge propagates past exactly
-    those cells whose boundary is <= delta.
+    those cells whose boundary is <= delta. The fine-code grid
+    (:meth:`fine_codes`) is derived from the boundaries once, here.
     """
 
     channel: int
     tap_delays: np.ndarray  # ps, one entry per tap
     tap_jitter_sigma: float = 0.0  # ps, common-mode per digitization
     boundaries: np.ndarray = field(init=False, repr=False)
+    _grid_scale: float = field(init=False, repr=False)  # cells per ps
+    _grid_before: np.ndarray = field(init=False, repr=False)  # boundaries in earlier cells
+    _grid_bounds: np.ndarray = field(init=False, repr=False)  # each cell's own, +inf padded
 
     def __post_init__(self):
         taps = np.asarray(self.tap_delays, dtype=float)
@@ -99,8 +103,19 @@ class DelayLineProfile:
             raise ConfigError("every tap delay must be positive")
         if self.tap_jitter_sigma < 0:
             raise ConfigError("tap_jitter_sigma must be nonnegative")
+        bounds = np.cumsum(taps)
         object.__setattr__(self, "tap_delays", taps)
-        object.__setattr__(self, "boundaries", np.cumsum(taps))
+        object.__setattr__(self, "boundaries", bounds)
+        # two cells per nominal tap: a cell holds one boundary on a line
+        # whose taps are all wider than half the nominal
+        object.__setattr__(self, "_grid_scale", 2 * taps.size / bounds[-1])
+        cell = self._grid_cell(bounds)
+        before = np.searchsorted(cell, np.arange(2 * taps.size + 2))
+        column = np.arange(taps.size) - before[cell]
+        table = np.full((column.max() + 1, before.size), np.inf)
+        table[column, cell] = bounds
+        object.__setattr__(self, "_grid_before", before)
+        object.__setattr__(self, "_grid_bounds", table)
 
     @property
     def n_taps(self) -> int:
@@ -109,6 +124,29 @@ class DelayLineProfile:
     @property
     def period(self) -> float:
         return float(self.boundaries[-1])
+
+    def _grid_cell(self, x: np.ndarray) -> np.ndarray:
+        """Grid cell of each phase: 0 below the line, then one per half
+        nominal tap, the last one past the period."""
+        cells = 2 * self.n_taps
+        return np.clip(np.floor(x * self._grid_scale), -1, cells).astype(np.intp) + 1
+
+    def fine_codes(self, x: np.ndarray) -> np.ndarray:
+        """The number of boundaries <= each phase ``x`` (ps), as
+        ``np.searchsorted(boundaries, x, side="right")`` counts them.
+
+        It is the count of boundaries in earlier grid cells plus one
+        comparison per boundary in x's own cell. That is exact: a
+        multiply by a positive constant is monotone in floating point,
+        so a boundary in an earlier cell is below x and one in a later
+        cell above it.
+        """
+        x = np.asarray(x, dtype=float)
+        cell = self._grid_cell(x)
+        code = self._grid_before[cell]
+        for bounds in self._grid_bounds:
+            code += x >= bounds[cell]
+        return code
 
 
 @dataclass
@@ -295,13 +333,11 @@ def digitize_stream(
     x = delta
     if rng is not None and profile.tap_jitter_sigma > 0:
         x = delta - rng.normal(0.0, profile.tap_jitter_sigma, kept.size)
-    fine = np.searchsorted(profile.boundaries, x, side="right").astype(np.int64)
-    coarse = edge % config.coarse_modulus
     return RecordBatch(
-        coarse=coarse,
-        fine=fine,
+        coarse=edge & (config.coarse_modulus - 1),
+        fine=profile.fine_codes(x).astype(np.int64, copy=False),
         accepted_index=np.flatnonzero(keep).astype(np.int64),
-        rollover=(edge // config.coarse_modulus) % 2,
+        rollover=(edge >> COARSE_BITS) & 1,
     )
 
 

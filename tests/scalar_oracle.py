@@ -9,7 +9,10 @@ packs into one 64-bit word by explicit field checks and shifts. The
 dual-route tests compare the two field for field. The dead-time gate
 keeps its hit-by-hit loop here too, as ``reference_gate_dead_time``, and
 the readout link its loop on ``ReadoutBuffer`` fields, as
-``reference_stream``.
+``reference_stream``. Alice's code and the photon link keep their
+one-call draws, as ``reference_gen_random_code`` and
+``reference_simulate_link``: n uniforms in one array, and one merge and
+one gate per detector.
 """
 
 from __future__ import annotations
@@ -22,6 +25,18 @@ import numpy as np
 
 from qkdstation.calibration import CalibrationTable
 from qkdstation.errors import CalibrationError, ConfigError, PackError
+from qkdstation.qkd import (
+    DET_X0,
+    DET_X1,
+    DET_Z0,
+    DET_Z1,
+    ORIGIN_BACKGROUND,
+    ORIGIN_DARK,
+    AliceBlock,
+    DetectionSet,
+    TruthLedger,
+    poisson_background,
+)
 from qkdstation.readout import TICK_PS, WORD_SIZE, ReadoutBuffer
 from qkdstation.tdc import (
     CHANNEL_BITS,
@@ -31,6 +46,7 @@ from qkdstation.tdc import (
     DelayLineProfile,
     TdcConfig,
     _check_channel,
+    gate_dead_time,
 )
 
 _CHANNEL_SHIFT = FINE_BITS + COARSE_BITS
@@ -123,9 +139,13 @@ def reference_gate_dead_time(times, dead_time, last_accept=None):
 
 def reference_stream(arrival_times, depth, link_rate):
     """Bounded buffer and capped link, one tick at a time, updating the
-    ``ReadoutBuffer`` fields in place. Returns (buffer, delivered indices)."""
+    ``ReadoutBuffer`` fields in place. The budget counts micro-bytes, so a
+    1 us tick adds ``link_rate`` of them, a whole number. Returns (buffer,
+    delivered indices)."""
     if depth <= 0:
         raise PackError("buffer depth must be positive")
+    if not float(link_rate).is_integer():
+        raise PackError("link rate must be a whole number of bytes per second")
     t = np.asarray(arrival_times, dtype=float)
     order = np.argsort(t, kind="stable")
     t = t[order]
@@ -135,13 +155,14 @@ def reference_stream(arrival_times, depth, link_rate):
     if t.size == 0:
         return buf, np.empty(0, dtype=np.int64)
 
-    bytes_per_tick = link_rate * TICK_PS / 1e12
+    credit_per_tick = int(link_rate)  # micro-bytes, as TICK_PS is 1 us
+    word_cost = WORD_SIZE * 10**6
     n_ticks = int(np.floor(t[-1] / TICK_PS)) + 1
     tick_of = np.floor(t / TICK_PS).astype(np.int64)
-    starts = np.searchsorted(tick_of, np.arange(n_ticks + 1))
+    starts = np.searchsorted(tick_of, np.arange(n_ticks + 1)).tolist()
 
     accepted = []
-    budget = 0.0
+    budget = 0
     for tick in range(n_ticks):
         lo, hi = starts[tick], starts[tick + 1]
         n_new = hi - lo
@@ -153,16 +174,68 @@ def reference_stream(arrival_times, depth, link_rate):
                 buf.occupancy += take
             buf.drops += n_new - take
             buf.arrived += n_new
-        budget += bytes_per_tick
-        can_drain = min(int(budget // WORD_SIZE), buf.occupancy)
+        budget += credit_per_tick
+        can_drain = min(budget // word_cost, buf.occupancy)
         if can_drain:
             buf.occupancy -= can_drain
             buf.delivered += can_drain
-            budget -= can_drain * WORD_SIZE
+            budget -= can_drain * word_cost
         if buf.occupancy == 0:
-            budget = 0.0  # idle link accrues no credit
+            budget = 0  # idle link accrues no credit
     flat = np.concatenate(accepted) if accepted else np.empty(0, dtype=np.int64)
     return buf, flat[: buf.delivered].astype(np.int64)
+
+
+def reference_gen_random_code(n, basis_bias, bit_bias, seed):
+    """Alice's code from one array of n uniforms for the bases, then one
+    for the bits."""
+    rng = np.random.default_rng(seed)
+    bases = (rng.random(n) >= basis_bias).astype(np.uint8)
+    bits = (rng.random(n) < bit_bias).astype(np.uint8)
+    return AliceBlock(bases=bases, bits=bits)
+
+
+def reference_simulate_link(alice, link, detectors, clock, seed):
+    """The photon link from one array of n survival uniforms, with each
+    detector's signal, background and dark counts merged and gated on
+    their own, then all four merged."""
+    rng = np.random.default_rng(seed)
+    n = alice.n
+    p_det = min(1.0, link.mean_photon_number * link.attenuation * detectors.efficiency)
+    idx = np.flatnonzero(rng.random(n) < p_det)
+    k = idx.size
+    bob_basis = (rng.random(k) < 0.5).astype(np.uint8)
+    same = bob_basis == alice.bases[idx]
+    flip = rng.random(k) < detectors.intrinsic_error
+    random_bit = (rng.random(k) < 0.5).astype(np.uint8)
+    bob_bit = np.where(same, alice.bits[idx] ^ flip, random_bit).astype(np.uint8)
+    det = (bob_basis << 1) | bob_bit
+    t_bob = clock.to_receiver(idx * link.pulse_period)
+    if detectors.jitter_sigma > 0:
+        t_bob = t_bob + rng.normal(0.0, detectors.jitter_sigma, k)
+    signal = DetectionSet(times=t_bob, detectors=det, origins=idx)
+
+    t0 = float(clock.to_receiver(0.0))
+    t1 = float(clock.to_receiver(n * link.pulse_period))
+    ledger = TruthLedger(emitted=n, lost=n - k)
+    streams = []
+    for d in (DET_Z0, DET_Z1, DET_X0, DET_X1):
+        bg = poisson_background(link.background_rate, t0, t1, d, ORIGIN_BACKGROUND, rng)
+        dark = poisson_background(detectors.dark_rate, t0, t1, d, ORIGIN_DARK, rng)
+        ledger.background_generated += bg.n
+        ledger.dark_generated += dark.n
+        merged = DetectionSet.merge(signal.select(signal.detectors == d), bg, dark)
+        keep, _ = gate_dead_time(merged.times, detectors.det_dead_time)
+        suppressed = merged.origins[~keep]
+        ledger.signal_suppressed += int(np.sum(suppressed >= 0))
+        ledger.background_suppressed += int(np.sum(suppressed == ORIGIN_BACKGROUND))
+        ledger.dark_suppressed += int(np.sum(suppressed == ORIGIN_DARK))
+        streams.append(merged.select(keep))
+    out = DetectionSet.merge(*streams)
+    ledger.signal_detected = int(np.sum(out.origins >= 0))
+    ledger.background_detected = int(np.sum(out.origins == ORIGIN_BACKGROUND))
+    ledger.dark_detected = int(np.sum(out.origins == ORIGIN_DARK))
+    return out, ledger
 
 
 def digitize(

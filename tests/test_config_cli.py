@@ -306,6 +306,8 @@ class TestConfigKeys:
             ("calibrate", "[tdc]\n", "[tdc]\nn_taps = 2.5\n", "[tdc] n_taps"),
             ("precision", "seed = 77", "seed = 1e3", "[session] seed"),
             ("run", "[precision]", "[output]\nbuffer_depth = big\n[precision]", "[output] buffer_depth"),
+            ("run", "[precision]", "[output]\nlink_rate_bytes_per_s = 35000000.5\n[precision]",
+             "[output] link_rate_bytes_per_s"),
             # an offset outside the prior: one sync period late, early past
             # the bound, and so late that the readout tick range overflows
             ("run", "offset_ps = 150000.0", "offset_ps = 2100000", "offset_ps"),
@@ -319,7 +321,7 @@ class TestConfigKeys:
              "precision_dnl_unknown", "dnl_negative_tap", "calibrate_dnl_negative_tap",
              "precision_dnl_negative_tap", "reconciliation_below_shannon",
              "negative_prior", "attenuation_word", "calibrate_fractional_count",
-             "precision_root_in_exponent_form", "depth_word",
+             "precision_root_in_exponent_form", "depth_word", "half_a_byte_per_second",
              "clock_a_sync_period_late", "clock_early_past_prior", "clock_past_every_tick"],
     )
     def test_bad_value_exit_2(self, tmp_path, capsys, command, old, new, named):

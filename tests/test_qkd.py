@@ -7,16 +7,21 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+import scalar_oracle
+from scalar_oracle import reference_gen_random_code, reference_simulate_link
 from scipy import stats
 
+from qkdstation import qkd
 from qkdstation.errors import ConfigError, FileFormatError
 from qkdstation.qkd import (
     BASIS_Z,
     DET_SYNC,
+    DRAW_CHUNK,
     ORIGIN_BACKGROUND,
     ORIGIN_DARK,
     AliceBlock,
     ClockModel,
+    DetectionSet,
     DetectorModel,
     LinkModel,
     SidecarMeta,
@@ -83,6 +88,56 @@ class TestRandomCode:
     def test_bias_bounds(self):
         with pytest.raises(ConfigError):
             gen_random_code(10, basis_bias=1.5)
+
+
+# chunk edges of the per-pulse draws
+CHUNK_EDGES = [0, 1, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1, 3 * DRAW_CHUNK + 5]
+
+
+@pytest.mark.parametrize("bias", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("n", CHUNK_EDGES)
+def test_code_equals_one_call_draws(n, bias):
+    got = gen_random_code(n, bias, 1 - bias, seed=11)
+    want = reference_gen_random_code(n, bias, 1 - bias, 11)
+    assert got.bases.dtype == got.bits.dtype == np.uint8
+    np.testing.assert_array_equal(got.bases, want.bases)
+    np.testing.assert_array_equal(got.bits, want.bits)
+
+
+def _snap_noise_to_pulses(monkeypatch):
+    """Background and dark counts on the pulse grid, so they tie with
+    signal photons and with each other."""
+    real = qkd.poisson_background
+
+    def snapped(*args):
+        s = real(*args)
+        return DetectionSet(np.round(s.times / 10_000.0) * 10_000.0, s.detectors, s.origins)
+
+    monkeypatch.setattr(qkd, "poisson_background", snapped)
+    monkeypatch.setattr(scalar_oracle, "poisson_background", snapped)
+
+
+@pytest.mark.parametrize("ties", [False, True], ids=["noise_anywhere", "noise_on_pulses"])
+@pytest.mark.parametrize("p_det", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("n", CHUNK_EDGES)
+def test_link_equals_one_call_draws(monkeypatch, n, p_det, ties):
+    if ties:
+        _snap_noise_to_pulses(monkeypatch)
+    alice = gen_random_code(n, 0.5, 0.5, seed=12)
+    link = quiet_link(mean_photon_number=p_det or 1.0, background_rate=2e6)
+    detectors = quiet_detectors(
+        efficiency=1.0 if p_det else 0.0,
+        dark_rate=5e5,
+        det_dead_time=50_000.0,
+        intrinsic_error=0.02,
+    )
+    args = (alice, link, detectors, ClockModel(), 13)
+    got, ledger = simulate_link(*args)
+    want, want_ledger = reference_simulate_link(*args)
+    assert ledger == want_ledger and ledger.conserved()
+    np.testing.assert_array_equal(got.times, want.times)
+    np.testing.assert_array_equal(got.detectors, want.detectors)
+    np.testing.assert_array_equal(got.origins, want.origins)
 
 
 class TestSimulateLink:

@@ -2,7 +2,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scalar_oracle import TdcRecord, pack, reference_stream, unpack
@@ -44,7 +44,7 @@ def _random_stream(seed, burst):
     rng = np.random.default_rng(seed)
     arrivals = rng.permutation(np.cumsum(rng.exponential(0.3e6, 4000)))
     arrivals[:burst] = arrivals[burst]  # a burst of equal arrival times
-    return arrivals, int(rng.integers(1, 40)), float(rng.uniform(5e6, 30e6))
+    return arrivals, int(rng.integers(1, 40)), float(round(rng.uniform(5e6, 30e6)))
 
 
 STREAM_CASES = {
@@ -166,7 +166,7 @@ class TestStream:
         for trial in range(5):
             arrivals = np.cumsum(rng.exponential(0.4e6, 5000))
             depth = int(rng.integers(2, 64))
-            rate = float(rng.uniform(5e6, 50e6))
+            rate = float(round(rng.uniform(5e6, 50e6)))
             buf, delivered = stream(arrivals, depth=depth, link_rate=rate)
             assert buf.conserved()
             assert buf.delivered == delivered.size
@@ -190,6 +190,63 @@ def test_stream_matches_tick_loop_oracle(name):
     np.testing.assert_array_equal(delivered, ref_delivered)
     if name != "reference":
         assert buf.drops > 0
+
+
+@st.composite
+def link_loads(draw):
+    """Unsorted arrival times in ps with bursts of equal times, a depth
+    and a whole rate in bytes/s."""
+    rate = draw(st.integers(1_000_000, 100_000_000))
+    # at a depth of ceil(rate / 8e6) a tick that fills the queue may empty it
+    depth = draw(st.one_of(st.integers(1, 64), st.just(-(-rate // 8_000_000))))
+    span = draw(st.integers(1, 400)) * 1_000_000
+    bursts = draw(
+        st.lists(st.tuples(st.integers(0, span), st.integers(1, 30)), max_size=150)
+    )
+    arrivals = np.repeat([float(t) for t, _ in bursts], [k for _, k in bursts])
+    return arrivals, depth, float(rate)
+
+
+@settings(max_examples=300, deadline=None)
+@given(link_loads())
+# 2.3 words per tick against 3 slots: a full tick sometimes drains
+# more than the queue holds, and the budget resets
+@example((np.repeat(np.arange(60) * 1e6, 4), 3, 18_400_000.0))
+# depth 1 at 12.5 words per tick: every tick empties the queue
+@example((np.repeat(np.arange(60) * 5e5, 20), 1, 100_000_000.0))
+def test_stream_matches_oracle_on_random_loads(load):
+    arrivals, depth, rate = load
+    buf, delivered = stream(arrivals, depth=depth, link_rate=rate)
+    ref_buf, ref_delivered = reference_stream(arrivals, depth, rate)
+    assert buf == ref_buf and buf.conserved()
+    assert all(
+        type(v) is int for v in (buf.occupancy, buf.drops, buf.arrived, buf.delivered)
+    )
+    np.testing.assert_array_equal(delivered, ref_delivered)
+
+
+@pytest.mark.parametrize("depth, rate", [(4, 1e18), (10**30, 35e6)], ids=["rate", "depth"])
+def test_stream_exact_at_an_extreme_rate_or_depth(depth, rate):
+    # 3 words/us: a 10^18 B/s link empties the queue every tick, and a
+    # buffer of 10^30 words, past 64 bits, never fills
+    arrivals = np.repeat(np.arange(20_000) * 1e6, 3)
+    buf, delivered = stream(arrivals, depth=depth, link_rate=rate)
+    ref_buf, ref_delivered = reference_stream(arrivals, depth, rate)
+    assert buf == ref_buf and buf.drops == 0
+    np.testing.assert_array_equal(delivered, ref_delivered)
+
+
+def test_stream_refuses_credit_past_64_bits():
+    # 600,000 words in the first tick, one more a second later
+    arrivals = np.append(np.zeros(600_000), 1e12)
+    with pytest.raises(PackError, match="overflow 64 bits"):
+        stream(arrivals, depth=10**6, link_rate=1e18)
+
+
+@pytest.mark.parametrize("rate", [35e6 + 0.5, 0.0, -8e6, float("inf")])
+def test_stream_refuses_a_rate_that_is_not_a_positive_whole_number(rate):
+    with pytest.raises(PackError, match="link rate"):
+        stream(np.zeros(3), depth=4, link_rate=rate)
 
 
 def _gated_batch(times, cfg, channel=0):

@@ -79,6 +79,23 @@ class TestBuildDelayLine:
             build_delay_line(small_config(), jitter_sigma=-1.0)
 
 
+@pytest.mark.parametrize("spec", ["uniform", "sine:0.2:8", "random:-0.9:0.3"])
+def test_fine_code_lookup_equals_bisection(spec):
+    profile = build_delay_line(TdcConfig(), spec, seed=5)
+    b, period = profile.boundaries, profile.period
+    grid = np.arange(2 * profile.n_taps + 1) * (period / (2 * profile.n_taps))
+    exact = np.concatenate((b, grid, [0.0, -0.0, -1e-9, -50.0, -1e9, period * 1.5, 1e15]))
+    x = np.concatenate((
+        exact,
+        np.nextafter(exact, -np.inf),
+        np.nextafter(exact, np.inf),
+        np.random.default_rng(0).uniform(-100.0, period + 100.0, 20_000),
+    ))
+    codes = profile.fine_codes(x)
+    np.testing.assert_array_equal(codes, np.searchsorted(b, x, side="right"))
+    assert codes.min() == 0 and codes.max() == profile.n_taps
+
+
 class TestThermometer:
     def test_mid_bin(self):
         p = build_delay_line(small_config())
