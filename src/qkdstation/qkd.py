@@ -7,9 +7,9 @@ dark counts mixed in; a separate bright sync-laser comb rides along so
 the receiver can recover Alice's timebase. The two parties' clocks
 disagree by a fixed offset plus a linear drift.
 
-Pulse trains and detection sets are kept as column arrays (index, time,
-basis, bit as parallel arrays) rather than one object per pulse; at
-10^6 pulses per session anything else dominates the runtime.
+Alice's code is one ``basis << 1 | bit`` byte per pulse, and detection
+sets are column arrays (time, detector, origin), rather than one object
+per pulse; at 10^6 pulses per session anything else dominates the runtime.
 """
 
 from __future__ import annotations
@@ -110,30 +110,8 @@ class ClockModel:
 
 
 @dataclass
-class AliceBlock:
-    """Alice's encoded pulse train as column arrays.
-
-    Column ``i`` is the pulse with index i, emitted at ``i * pulse_period``
-    on Alice's clock; ``bases`` holds BASIS_Z/BASIS_X, ``bits`` 0/1.
-    """
-
-    bases: np.ndarray
-    bits: np.ndarray
-
-    def __post_init__(self):
-        self.bases = np.asarray(self.bases, dtype=np.uint8)
-        self.bits = np.asarray(self.bits, dtype=np.uint8)
-        if self.bases.shape != self.bits.shape or self.bases.ndim != 1:
-            raise ConfigError("bases and bits must be parallel 1-D arrays")
-
-    @property
-    def n(self) -> int:
-        return self.bases.size
-
-
-@dataclass
 class DetectionSet:
-    """Receiver-side clicks, sorted by time.
+    """Receiver-side clicks in (detector, time) order, ties in input order.
 
     ``origins`` holds the emitting pulse index for signal/sync photons,
     ORIGIN_BACKGROUND or ORIGIN_DARK for noise. It exists purely for
@@ -163,7 +141,7 @@ class DetectionSet:
         times = np.concatenate([s.times for s in sets])
         dets = np.concatenate([s.detectors for s in sets])
         origins = np.concatenate([s.origins for s in sets])
-        order = np.lexsort((dets, times))
+        order = np.lexsort((times, dets))
         return DetectionSet(times[order], dets[order], origins[order])
 
 
@@ -200,8 +178,9 @@ def gen_random_code(
     basis_bias: float = 0.5,
     bit_bias: float = 0.5,
     seed: int | np.random.Generator = 0,
-) -> AliceBlock:
-    """Draw Alice's encoding: P(basis = Z) = basis_bias, P(bit = 1) = bit_bias.
+) -> np.ndarray:
+    """Draw Alice's code, one ``basis << 1 | bit`` byte per pulse:
+    P(basis = Z) = basis_bias, P(bit = 1) = bit_bias.
 
     Draw order (n uniforms for the bases, then n for the bits) is part of
     the reproducibility contract.
@@ -209,15 +188,13 @@ def gen_random_code(
     if not 0 <= basis_bias <= 1 or not 0 <= bit_bias <= 1:
         raise ConfigError("biases must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    bases = np.empty(n, dtype=np.uint8)
-    bits = np.empty(n, dtype=np.uint8)
-    for out, compare, bias in (
-        (bases, np.greater_equal, basis_bias),
-        (bits, np.less, bit_bias),
-    ):
-        for lo, u in _uniform_chunks(rng, n):
-            compare(u, bias, out=out[lo : lo + u.size])
-    return AliceBlock(bases=bases, bits=bits)
+    codes = np.empty(n, dtype=np.uint8)
+    for lo, u in _uniform_chunks(rng, n):
+        np.greater_equal(u, basis_bias, out=codes[lo : lo + u.size])
+    codes <<= 1
+    for lo, u in _uniform_chunks(rng, n):
+        codes[lo : lo + u.size] |= u < bit_bias
+    return codes
 
 
 def _uniform_chunks(rng: np.random.Generator, n: int):
@@ -250,13 +227,13 @@ def poisson_background(
 
 
 def simulate_link(
-    alice: AliceBlock,
+    codes: np.ndarray,
     link: LinkModel,
     detectors: DetectorModel,
     clock: ClockModel,
     seed: int | np.random.Generator,
 ) -> tuple[DetectionSet, TruthLedger]:
-    """Propagate Alice's block to Bob's four signal detectors.
+    """Propagate Alice's code to Bob's four signal detectors.
 
     Each pulse survives the channel with probability
     ``mean_photon_number * 10^(-loss/10) * efficiency`` (capped at 1); a
@@ -268,7 +245,7 @@ def simulate_link(
     comes before background, and background before dark, at equal times.
     """
     rng = np.random.default_rng(seed)
-    n = alice.n
+    n = codes.size
     p_det = min(
         1.0, link.mean_photon_number * link.attenuation * detectors.efficiency
     )
@@ -279,11 +256,12 @@ def simulate_link(
     )
     k = idx.size
 
+    sent = codes[idx]
     bob_basis = (rng.random(k) < 0.5).astype(np.uint8)
-    same = bob_basis == alice.bases[idx]
+    same = bob_basis == sent >> 1
     flip = rng.random(k) < detectors.intrinsic_error
     random_bit = (rng.random(k) < 0.5).astype(np.uint8)
-    bob_bit = np.where(same, alice.bits[idx] ^ flip, random_bit).astype(np.uint8)
+    bob_bit = np.where(same, (sent & 1) ^ flip, random_bit).astype(np.uint8)
     det = (bob_basis << 1) | bob_bit
 
     t_bob = clock.to_receiver(idx * link.pulse_period)
@@ -305,7 +283,6 @@ def simulate_link(
     # each detector's hits in time order, ties in draw order (signal,
     # background, dark), through that detector's dead-time gate
     hits = DetectionSet.merge(*parts)
-    hits = hits.select(np.argsort(hits.detectors, kind="stable"))
     edges = np.searchsorted(hits.detectors, np.arange(DET_X1 + 2)).tolist()
     keep = np.concatenate(
         [gate_dead_time(hits.times[lo:hi], detectors.det_dead_time)[0]
@@ -316,7 +293,7 @@ def simulate_link(
     ledger.background_suppressed = int(np.sum(suppressed == ORIGIN_BACKGROUND))
     ledger.dark_suppressed = int(np.sum(suppressed == ORIGIN_DARK))
 
-    out = DetectionSet.merge(hits.select(keep))
+    out = hits.select(keep)
     ledger.signal_detected = int(np.sum(out.origins >= 0))
     ledger.background_detected = int(np.sum(out.origins == ORIGIN_BACKGROUND))
     ledger.dark_detected = int(np.sum(out.origins == ORIGIN_DARK))
@@ -381,8 +358,21 @@ def _check_sidecar_header(pulse_period, sync_period, offset_bound, f_ec) -> None
             raise FileFormatError(f"sidecar {name} {value} is out of range", offset=at)
 
 
-def write_alice_sidecar(path, alice: AliceBlock, meta: SidecarMeta) -> None:
+def _check_sidecar_codes(codes: np.ndarray, at: int) -> None:
+    """The code bytes, from file offset ``at``, that both the writer and
+    the reader enforce."""
+    if codes.size and int(codes.max()) > 3:
+        i = int(np.argmax(codes > 3))
+        raise FileFormatError(
+            f"sidecar code byte {int(codes[i])} of pulse {i} is above 3", offset=at + i
+        )
+
+
+def write_alice_sidecar(path, codes: np.ndarray, meta: SidecarMeta) -> None:
     _check_sidecar_header(meta.pulse_period, meta.sync_period, meta.offset_bound, meta.f_ec)
+    if codes.dtype != np.uint8:  # the body is the array's own bytes
+        raise ConfigError(f"Alice's code must be a uint8 array, not {codes.dtype}")
+    _check_sidecar_codes(codes, _SIDECAR_FIXED.size + 8 * len(meta.windows))
     header = _SIDECAR_FIXED.pack(
         SIDECAR_MAGIC,
         SIDECAR_VERSION,
@@ -393,18 +383,16 @@ def write_alice_sidecar(path, alice: AliceBlock, meta: SidecarMeta) -> None:
         meta.disclose_fraction,
         meta.f_ec,
         meta.root_seed,
-        alice.n,
+        codes.size,
         len(meta.windows),
     )
-    body = alice.bases << 1  # the one n-byte buffer the file body is built in
-    body |= alice.bits
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.asarray(meta.windows, dtype="<f8").tobytes())
-        fh.write(body)
+        fh.write(codes)
 
 
-def read_alice_sidecar(path) -> tuple[AliceBlock, SidecarMeta]:
+def read_alice_sidecar(path) -> tuple[np.ndarray, SidecarMeta]:
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _SIDECAR_FIXED.size:
@@ -436,7 +424,7 @@ def read_alice_sidecar(path) -> tuple[AliceBlock, SidecarMeta]:
     windows = tuple(np.frombuffer(raw, dtype="<f8", count=n_windows, offset=off))
     off += 8 * n_windows
     codes = np.frombuffer(raw, dtype=np.uint8, count=n_pulses, offset=off)
-    alice = AliceBlock(bases=(codes >> 1) & 1, bits=codes & 1)
+    _check_sidecar_codes(codes, off)
     meta = SidecarMeta(
         pulse_period=pulse_period,
         sync_period=sync_period,
@@ -446,4 +434,4 @@ def read_alice_sidecar(path) -> tuple[AliceBlock, SidecarMeta]:
         root_seed=root_seed,
         windows=windows,
     )
-    return alice, meta
+    return codes, meta

@@ -18,11 +18,10 @@ import numpy as np
 from . import calibration as cal
 from . import readout
 from .config import ExperimentConfig, RunManifest, TOOL_VERSION, file_digest
-from .errors import FileFormatError, StationError
+from .errors import ConfigError, FileFormatError, StationError
 from .qkd import (
     DET_SYNC,
     ORIGIN_BACKGROUND,
-    AliceBlock,
     DetectionSet,
     SidecarMeta,
     TruthLedger,
@@ -113,10 +112,10 @@ def tap_width_matrix(
     return widths
 
 
-def simulate_detections(cfg: ExperimentConfig, alice: AliceBlock):
+def simulate_detections(cfg: ExperimentConfig, codes: np.ndarray):
     """Signal + noise + sync streams merged into one receiver-side set."""
     signal, ledger = simulate_link(
-        alice, cfg.link, cfg.detectors, cfg.clock, derive_rng(cfg.seed, "link")
+        codes, cfg.link, cfg.detectors, cfg.clock, derive_rng(cfg.seed, "link")
     )
     sync = emit_sync(
         cfg.n_sync,
@@ -145,19 +144,23 @@ def digitize_detections(
     detections: DetectionSet,
     profiles: list[DelayLineProfile],
 ):
-    """Run every channel's stream through its digitizer.
+    """Run every channel's slice of ``detections`` through its digitizer.
 
     Returns parallel arrays (arrival time, channel, coarse, fine,
     rollover parity) in global time order, ready for packing.
     """
+    dets = detections.detectors
+    if np.any(dets[1:] < dets[:-1]):  # a channel's hits must be one slice
+        raise ConfigError("detections must be in (detector, time) order")
     times, chans, coarses, fines, rolls = [], [], [], [], []
-    for c in range(cfg.tdc.n_channels):
+    edges = np.searchsorted(dets, np.arange(cfg.tdc.n_channels + 1))
+    for c, (lo, hi) in enumerate(zip(edges, edges[1:])):
         # hits landing before the counter epoch (possible with a negative
         # clock offset) never reach the digitizer
-        mask = (detections.detectors == c) & (detections.times >= 0)
-        if not np.any(mask):
+        t = detections.times[lo:hi]
+        t = t[np.searchsorted(t, 0.0) :]
+        if not t.size:
             continue
-        t = detections.times[mask]
         state = ChannelState(enabled=cfg.channel_enabled(c))
         rng = derive_rng(cfg.seed, "tdc", f"ch{c}")
         batch = digitize_stream(t, profiles[c], state, cfg.tdc, rng)
@@ -194,7 +197,7 @@ def analyze_files(
     pair dump (window, pulse index, detector, residual) for debugging.
     """
     header, words, width_block = readout.read_timetag_file(timetag_path)
-    alice, meta = read_alice_sidecar(sidecar_path)
+    codes, meta = read_alice_sidecar(sidecar_path)
     tdc_cfg = TdcConfig(
         clock_period=header.clock_period,
         n_taps=header.n_taps,
@@ -249,7 +252,7 @@ def analyze_files(
         ddets,
         clock,
         meta.pulse_period,
-        alice,
+        codes,
         use_windows,
         disclose_fraction=meta.disclose_fraction,
         seed=meta.root_seed,
@@ -257,7 +260,7 @@ def analyze_files(
     )
     if pairs_out is not None:
         _dump_matched_pairs(
-            pairs_out, dtimes, ddets, clock, meta.pulse_period, alice.n, use_windows
+            pairs_out, dtimes, ddets, clock, meta.pulse_period, codes.size, use_windows
         )
     return reports, clock
 
@@ -285,10 +288,10 @@ def run_session(
     report_path = out / "sift_reports.csv"
     manifest_path = out / "manifest.json"
 
-    alice = gen_random_code(
+    codes = gen_random_code(
         cfg.n_pulses, cfg.basis_bias, cfg.bit_bias, derive_rng(cfg.seed, "alice")
     )
-    detections, ledger = simulate_detections(cfg, alice)
+    detections, ledger = simulate_detections(cfg, codes)
     tables = calibrate_all(cfg, profiles)
     arrival, ch, co, fi, ro = digitize_detections(cfg, detections, profiles)
 
@@ -311,7 +314,7 @@ def run_session(
         root_seed=cfg.seed,
         windows=cfg.windows,
     )
-    write_alice_sidecar(sidecar_path, alice, meta)
+    write_alice_sidecar(sidecar_path, codes, meta)
 
     # Analysis runs on the files just written: replay identity for free.
     reports, clock = analyze_files(timetag_path, sidecar_path)

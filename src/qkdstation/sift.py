@@ -20,7 +20,6 @@ import numpy as np
 
 from .config import check_windows, write_csv
 from .errors import ConfigError, SyncRecoveryError
-from .qkd import AliceBlock
 from .seeding import derive_rng
 
 _HISTOGRAM_BINS = 1024
@@ -262,7 +261,7 @@ def window_scan(
     detectors: np.ndarray,
     clock: ClockEstimate,
     pulse_period: float,
-    alice: AliceBlock,
+    codes: np.ndarray,
     windows,
     disclose_fraction: float,
     seed: int,
@@ -282,11 +281,12 @@ def window_scan(
     w = check_windows(windows, pulse_period)
     if not 0 < disclose_fraction <= 1:
         raise ConfigError("disclose_fraction must lie in (0, 1]")
-    match = match_slots(times, detectors, clock, pulse_period, w[-1], alice.n)
+    match = match_slots(times, detectors, clock, pulse_period, w[-1], codes.size)
     if match.n and int(match.detector.max()) > 3:
         raise ConfigError("sync detections must not enter sifting")
-    same = (match.detector >> 1) == alice.bases[match.pulse_index]
-    wrong = ((match.detector & 1) != alice.bits[match.pulse_index])[same]
+    d = match.detector ^ codes[match.pulse_index]  # bit 1: bases differ, bit 0: bits differ
+    same = d < 2
+    wrong = d[same] == 1
     res = np.abs(match.residual)
     res_sifted = res[same]
     duration_s = match.n_slots * match.pulse_period / 1e12

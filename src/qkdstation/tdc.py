@@ -77,7 +77,7 @@ class TdcConfig:
         return self.clock_period / self.n_taps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DelayLineProfile:
     """Physical truth of one channel's interpolator.
 

@@ -52,7 +52,7 @@ def reference_window_scan(
     labels it."""
     reports = []
     for i, w in enumerate(windows):
-        m = reference_match_pulses(times, detectors, clock, pulse_period, w, alice.n)
+        m = reference_match_pulses(times, detectors, clock, pulse_period, w, alice.size)
         rng = derive_rng(seed, "disclose", f"w{i}")
         reports.append(reference_sift(m, alice, disclose_fraction, rng, f_ec))
     return reports
@@ -60,8 +60,8 @@ def reference_window_scan(
 
 def reference_sift(match, alice, disclose_fraction, rng, f_ec):
     """Sift one match on its own: reconcile every pair, no window mask."""
-    same = (match.detector >> 1) == alice.bases[match.pulse_index]
-    wrong = (match.detector & 1)[same] != alice.bits[match.pulse_index[same]]
+    same = (match.detector >> 1) == (alice >> 1)[match.pulse_index]
+    wrong = (match.detector & 1)[same] != (alice & 1)[match.pulse_index[same]]
     sifted = int(np.sum(same))
     n_disclose = int(round(disclose_fraction * sifted))
     if n_disclose > 0:

@@ -12,7 +12,10 @@ the readout link its loop on ``ReadoutBuffer`` fields, as
 ``reference_stream``. Alice's code and the photon link keep their
 one-call draws, as ``reference_gen_random_code`` and
 ``reference_simulate_link``: n uniforms in one array, and one merge and
-one gate per detector.
+one gate per detector, with the four gated streams merged into the
+(detector, time) order that ``simulate_link`` returns.
+``reference_digitize_detections`` takes each channel's hits with a
+boolean mask over all of them, so it reads them in any order.
 """
 
 from __future__ import annotations
@@ -32,12 +35,12 @@ from qkdstation.qkd import (
     DET_Z1,
     ORIGIN_BACKGROUND,
     ORIGIN_DARK,
-    AliceBlock,
     DetectionSet,
     TruthLedger,
     poisson_background,
 )
 from qkdstation.readout import TICK_PS, WORD_SIZE, ReadoutBuffer
+from qkdstation.seeding import derive_rng
 from qkdstation.tdc import (
     CHANNEL_BITS,
     COARSE_BITS,
@@ -46,6 +49,7 @@ from qkdstation.tdc import (
     DelayLineProfile,
     TdcConfig,
     _check_channel,
+    digitize_stream,
     gate_dead_time,
 )
 
@@ -192,23 +196,23 @@ def reference_gen_random_code(n, basis_bias, bit_bias, seed):
     rng = np.random.default_rng(seed)
     bases = (rng.random(n) >= basis_bias).astype(np.uint8)
     bits = (rng.random(n) < bit_bias).astype(np.uint8)
-    return AliceBlock(bases=bases, bits=bits)
+    return (bases << 1) | bits
 
 
 def reference_simulate_link(alice, link, detectors, clock, seed):
     """The photon link from one array of n survival uniforms, with each
     detector's signal, background and dark counts merged and gated on
-    their own, then all four merged."""
+    their own, then all four merged in (detector, time) order."""
     rng = np.random.default_rng(seed)
-    n = alice.n
+    n = alice.size
     p_det = min(1.0, link.mean_photon_number * link.attenuation * detectors.efficiency)
     idx = np.flatnonzero(rng.random(n) < p_det)
     k = idx.size
     bob_basis = (rng.random(k) < 0.5).astype(np.uint8)
-    same = bob_basis == alice.bases[idx]
+    same = bob_basis == (alice >> 1)[idx]
     flip = rng.random(k) < detectors.intrinsic_error
     random_bit = (rng.random(k) < 0.5).astype(np.uint8)
-    bob_bit = np.where(same, alice.bits[idx] ^ flip, random_bit).astype(np.uint8)
+    bob_bit = np.where(same, (alice & 1)[idx] ^ flip, random_bit).astype(np.uint8)
     det = (bob_basis << 1) | bob_bit
     t_bob = clock.to_receiver(idx * link.pulse_period)
     if detectors.jitter_sigma > 0:
@@ -236,6 +240,26 @@ def reference_simulate_link(alice, link, detectors, clock, seed):
     ledger.background_detected = int(np.sum(out.origins == ORIGIN_BACKGROUND))
     ledger.dark_detected = int(np.sum(out.origins == ORIGIN_DARK))
     return out, ledger
+
+
+def reference_digitize_detections(cfg, detections, profiles):
+    """``session.digitize_detections`` with one boolean mask over all hits
+    per channel, dropping those before the counter epoch; the records are
+    then ordered by time, ties by channel."""
+    columns = []
+    for c in range(cfg.tdc.n_channels):
+        mask = (detections.detectors == c) & (detections.times >= 0)
+        t = detections.times[mask]
+        state = ChannelState(enabled=cfg.channel_enabled(c))
+        rng = derive_rng(cfg.seed, "tdc", f"ch{c}")
+        batch = digitize_stream(t, profiles[c], state, cfg.tdc, rng)
+        channel = np.full(batch.n, c, dtype=np.int64)
+        columns.append(
+            (t[batch.accepted_index], channel, batch.coarse, batch.fine, batch.rollover)
+        )
+    t, ch, co, fi, ro = (np.concatenate(col) for col in zip(*columns))
+    order = np.lexsort((ch, t))
+    return t[order], ch[order], co[order], fi[order], ro[order]
 
 
 def digitize(

@@ -23,7 +23,13 @@ from qkdstation.config import (
     reference_config_text,
 )
 from qkdstation.errors import CalibrationError, ConfigError
-from qkdstation.qkd import _SIDECAR_FIXED, ClockModel, DetectorModel, LinkModel
+from qkdstation.qkd import (
+    _SIDECAR_FIXED,
+    ClockModel,
+    DetectorModel,
+    LinkModel,
+    read_alice_sidecar,
+)
 from qkdstation.readout import (
     FINE_BITS,
     HEADER_SIZE,
@@ -535,7 +541,7 @@ class TestCliRunAnalyze:
         times, dets, clock, pulse_period, alice, windows = scan_args
         assert len(windows) == 19
         oracle = tmp_path / "oracle.csv"
-        write_reference_pairs(oracle, times, dets, clock, pulse_period, alice.n, windows)
+        write_reference_pairs(oracle, times, dets, clock, pulse_period, alice.size, windows)
         assert (out2 / "matched_pairs.csv").read_bytes() == oracle.read_bytes()
 
     @pytest.mark.parametrize(
@@ -599,6 +605,22 @@ class TestCliRunAnalyze:
         assert main(args + ["--output", str(tmp_path / "a")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
+
+    @pytest.mark.parametrize("byte", [4, 255])
+    def test_code_byte_above_3_exit_2(self, small_run, tmp_path, capsys, byte):
+        _, meta = read_alice_sidecar(small_run / "alice.qac")
+        at = _SIDECAR_FIXED.size + 8 * len(meta.windows) + 123
+        raw = bytearray((small_run / "alice.qac").read_bytes())
+        raw[at] = byte
+        bad = tmp_path / "alice.qac"
+        bad.write_bytes(bytes(raw))
+        capsys.readouterr()
+        args = ["analyze", str(small_run / "session.qtt"), str(bad)]
+        assert main(args + ["--output", str(tmp_path / "a")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"code byte {byte} of pulse 123" in err
+        assert f"(byte offset {at})" in err
+        assert not (tmp_path / "a").exists()
 
     @pytest.mark.parametrize("damage", ["reserved_bit", "reversed", "swapped_pair"])
     def test_disordered_or_reserved_records_exit_2(

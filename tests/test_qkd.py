@@ -19,7 +19,6 @@ from qkdstation.qkd import (
     DRAW_CHUNK,
     ORIGIN_BACKGROUND,
     ORIGIN_DARK,
-    AliceBlock,
     ClockModel,
     DetectionSet,
     DetectorModel,
@@ -62,19 +61,18 @@ def quiet_link(**kw):
 class TestRandomCode:
     def test_degenerate_biases(self):
         block = gen_random_code(4, basis_bias=1.0, bit_bias=1.0, seed=0)
-        assert np.all(block.bases == BASIS_Z)
-        assert np.all(block.bits == 1)
+        assert np.all((block >> 1) == BASIS_Z)
+        assert np.all((block & 1) == 1)
 
     def test_same_seed_identical(self):
         a = gen_random_code(10_000, 0.5, 0.5, seed=42)
         b = gen_random_code(10_000, 0.5, 0.5, seed=42)
-        assert np.array_equal(a.bases, b.bases)
-        assert np.array_equal(a.bits, b.bits)
+        assert np.array_equal(a, b)
 
     def test_basis_fraction_within_3_sigma(self):
         n = 1_000_000
         block = gen_random_code(n, basis_bias=0.7, bit_bias=0.5, seed=7)
-        z_fraction = np.mean(block.bases == BASIS_Z)
+        z_fraction = np.mean((block >> 1) == BASIS_Z)
         assert abs(z_fraction - 0.7) < 3 * np.sqrt(0.7 * 0.3 / n)
 
     def test_generation_throughput(self):
@@ -99,9 +97,8 @@ CHUNK_EDGES = [0, 1, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1, 3 * DRAW_CHUNK 
 def test_code_equals_one_call_draws(n, bias):
     got = gen_random_code(n, bias, 1 - bias, seed=11)
     want = reference_gen_random_code(n, bias, 1 - bias, 11)
-    assert got.bases.dtype == got.bits.dtype == np.uint8
-    np.testing.assert_array_equal(got.bases, want.bases)
-    np.testing.assert_array_equal(got.bits, want.bits)
+    assert got.dtype == np.uint8
+    np.testing.assert_array_equal(got, want)
 
 
 def _snap_noise_to_pulses(monkeypatch):
@@ -150,8 +147,8 @@ class TestSimulateLink:
         assert det.n == 5000
         # every detection sits at its emit time and the right detector
         idx = det.origins
-        expect_det = (alice.bases[idx] << 1) | alice.bits[idx]
-        wrong_basis = (det.detectors >> 1) != alice.bases[idx]
+        expect_det = alice[idx]
+        wrong_basis = (det.detectors >> 1) != (alice >> 1)[idx]
         same_basis = ~wrong_basis
         assert np.array_equal(det.detectors[same_basis], expect_det[same_basis])
         # the beam splitter still halves the basis choice
@@ -188,7 +185,7 @@ class TestSimulateLink:
             alice, quiet_link(), quiet_detectors(), ClockModel(), seed=9
         )
         idx = det.origins
-        wrong = (det.detectors >> 1) != alice.bases[idx]
+        wrong = (det.detectors >> 1) != (alice >> 1)[idx]
         bits = det.detectors[wrong] & 1
         k = bits.size
         assert abs(np.mean(bits) - 0.5) < 3 * np.sqrt(0.25 / k)
@@ -211,8 +208,8 @@ class TestSimulateLink:
         detectors = quiet_detectors(intrinsic_error=e_int)
         det, _ = simulate_link(alice, link, detectors, ClockModel(), seed=11)
         idx = det.origins
-        same = (det.detectors >> 1) == alice.bases[idx]
-        wrong = (det.detectors[same] & 1) != alice.bits[idx[same]]
+        same = (det.detectors >> 1) == (alice >> 1)[idx]
+        wrong = (det.detectors[same] & 1) != (alice & 1)[idx[same]]
         k = int(np.sum(same))
         qber = np.sum(wrong) / k
         assert abs(qber - e_int) < 3 * np.sqrt(e_int * (1 - e_int) / k)
@@ -242,7 +239,11 @@ class TestSimulateLink:
         link = quiet_link(loss_db=3.0, background_rate=100_000.0)
         detectors = quiet_detectors(jitter_sigma=200.0, dark_rate=1000.0)
         det, _ = simulate_link(alice, link, detectors, ClockModel(), seed=15)
-        assert np.all(np.diff(det.times) >= 0)
+        # (detector, time) order: grouped by detector, time-ordered within each
+        assert np.all(np.diff(det.detectors.astype(int)) >= 0)
+        same_detector = np.diff(det.detectors) == 0
+        assert np.all(np.diff(det.times)[same_detector] >= 0)
+        assert set(np.unique(det.detectors)) == {0, 1, 2, 3}
 
 
 class TestEmitSync:
@@ -280,8 +281,7 @@ class TestSidecar:
         path = tmp_path / "alice.qac"
         write_alice_sidecar(path, alice, meta)
         back, meta2 = read_alice_sidecar(path)
-        assert np.array_equal(back.bases, alice.bases)
-        assert np.array_equal(back.bits, alice.bits)
+        assert np.array_equal(back, alice)
         assert meta2 == meta
 
     @settings(
@@ -306,12 +306,11 @@ class TestSidecar:
         ),
     )
     def test_write_then_read_roundtrip(self, tmp_path, codes, meta):
-        alice = AliceBlock(bases=codes >> 1, bits=codes & 1)
+        alice = codes
         path = tmp_path / "prop.qac"
         write_alice_sidecar(path, alice, meta)
         back, meta2 = read_alice_sidecar(path)
-        assert np.array_equal(back.bases, alice.bases)
-        assert np.array_equal(back.bits, alice.bits)
+        assert np.array_equal(back, alice)
         assert meta2 == meta
 
     @settings(
@@ -368,6 +367,34 @@ class TestSidecar:
         alice2 = gen_random_code(1001, 0.5, 0.5, seed=17)
         write_alice_sidecar(path, alice2, meta)
         assert path.stat().st_size == base + 1
+
+    @pytest.mark.parametrize("byte", [4, 255])
+    def test_code_byte_above_3_refused(self, tmp_path, byte):
+        codes = gen_random_code(100, 0.5, 0.5, seed=21)
+        meta = SidecarMeta(10_000.0, 2e6, 450_000.0, 0.1, 1.16, 1, (500.0, 1000.0))
+        at = qkd._SIDECAR_FIXED.size + 8 * len(meta.windows) + 37
+        named = rf"code byte {byte} of pulse 37 .*\(byte offset {at}\)"
+        bad = codes.copy()
+        bad[37] = byte
+        path = tmp_path / "w.qac"
+        with pytest.raises(FileFormatError, match=named):
+            write_alice_sidecar(path, bad, meta)
+        assert not path.exists()
+        write_alice_sidecar(path, codes, meta)
+        raw = bytearray(path.read_bytes())
+        raw[at] = byte
+        path.write_bytes(raw)
+        with pytest.raises(FileFormatError, match=named) as err:
+            read_alice_sidecar(path)
+        assert err.value.offset == at
+
+    def test_writer_refuses_codes_wider_than_a_byte(self, tmp_path):
+        codes = gen_random_code(100, 0.5, 0.5, seed=22).astype(np.int64)
+        meta = SidecarMeta(10_000.0, 2e6, 450_000.0, 0.1, 1.16, 1, (1000.0,))
+        path = tmp_path / "w.qac"
+        with pytest.raises(ConfigError, match="uint8"):
+            write_alice_sidecar(path, codes, meta)
+        assert not path.exists()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.qac"

@@ -7,7 +7,7 @@ from match_oracle import (
 )
 
 from qkdstation.errors import ConfigError, SyncRecoveryError
-from qkdstation.qkd import AliceBlock, ClockModel, emit_sync, gen_random_code
+from qkdstation.qkd import ClockModel, emit_sync, gen_random_code
 from qkdstation.sift import (
     ClockEstimate,
     MatchResult,
@@ -142,7 +142,7 @@ class TestMatchPulses:
 def ideal_sift(alice, detector_bits, bases, disclose_fraction, seed):
     """Sift one detection per pulse, at its slot centre, on the given
     basis/bit arrays, at a single 1000 ps window."""
-    times = np.arange(alice.n) * 10_000.0
+    times = np.arange(alice.size) * 10_000.0
     detectors = ((bases << 1) | detector_bits).astype(np.uint8)
     reports = window_scan(
         times, detectors, IDENTITY, 10_000.0, alice, (1000.0,), disclose_fraction, seed, 1.16
@@ -154,7 +154,7 @@ class TestSift:
     def test_ideal_all_bases_equal(self):
         alice = gen_random_code(1000, 0.5, 0.5, seed=7)
         report = ideal_sift(
-            alice, alice.bits.copy(), alice.bases.copy(), disclose_fraction=0.2, seed=8
+            alice, alice & 1, alice >> 1, disclose_fraction=0.2, seed=8
         )
         assert report.sifted_bits == report.matched == 1000
         assert report.qber == 0.0
@@ -166,7 +166,7 @@ class TestSift:
         rng = np.random.default_rng(10)
         bob_bases = rng.integers(0, 2, n).astype(np.uint8)
         report = ideal_sift(
-            alice, alice.bits.copy(), bob_bases, disclose_fraction=0.1, seed=11
+            alice, alice & 1, bob_bases, disclose_fraction=0.1, seed=11
         )
         assert abs(report.sifted_bits / n - 0.5) < 3 * np.sqrt(0.25 / n)
 
@@ -175,7 +175,7 @@ class TestSift:
         n = 1000
         bases = np.zeros(n, dtype=np.uint8)
         bits = np.zeros(n, dtype=np.uint8)
-        alice = AliceBlock(bases=bases, bits=bits)
+        alice = (bases << 1) | bits
         bob_bits = np.zeros(n, dtype=np.uint8)
         bob_bits[:17] = 1
         report = ideal_sift(
@@ -187,7 +187,7 @@ class TestSift:
 
     def test_qber_above_half_leaves_no_key(self):
         n = 1000
-        alice = AliceBlock(bases=np.zeros(n, np.uint8), bits=np.zeros(n, np.uint8))
+        alice = np.zeros(n, np.uint8)
         report = ideal_sift(
             alice, np.ones(n, np.uint8), np.zeros(n, np.uint8), disclose_fraction=1.0, seed=12
         )
@@ -197,13 +197,13 @@ class TestSift:
     def test_disclosed_bits_leave_key(self):
         alice = gen_random_code(1000, 1.0, 0.5, seed=13)
         report = ideal_sift(
-            alice, alice.bits.copy(), alice.bases.copy(), disclose_fraction=0.25, seed=14
+            alice, alice & 1, alice >> 1, disclose_fraction=0.25, seed=14
         )
         assert report.disclosed == 250
 
     def test_disclose_fraction_bounds(self):
         alice = gen_random_code(10, 0.5, 0.5, seed=15)
-        bits, bases = alice.bits.copy(), alice.bases.copy()
+        bits, bases = alice & 1, alice >> 1
         with pytest.raises(ConfigError):
             ideal_sift(alice, bits, bases, disclose_fraction=0.0, seed=0)
         with pytest.raises(ConfigError):
@@ -215,10 +215,10 @@ class TestSift:
         alice = gen_random_code(n, 0.5, 0.5, seed=16)
         rng = np.random.default_rng(17)
         flips = rng.random(n) < 0.03
-        bob_bits = (alice.bits ^ flips).astype(np.uint8)
+        bob_bits = ((alice & 1) ^ flips).astype(np.uint8)
         true_fraction = np.mean(flips)  # all bases equal, all matched sifted
         estimates = [
-            ideal_sift(alice, bob_bits, alice.bases.copy(), disclose_fraction=0.1, seed=s).qber
+            ideal_sift(alice, bob_bits, alice >> 1, disclose_fraction=0.1, seed=s).qber
             for s in range(30)
         ]
         se = np.sqrt(0.03 * 0.97 / (0.1 * n)) / np.sqrt(30)
@@ -258,7 +258,7 @@ class TestWindowScan:
         keep = rng.random(n) < p_det
         idx = np.flatnonzero(keep)
         sig_t = idx * 10_000.0 + rng.normal(0.0, 60.0, idx.size)
-        sig_det = ((alice.bases[idx] << 1) | alice.bits[idx]).astype(np.uint8)
+        sig_det = alice[idx]
         n_bg = int(background_per_slot * n)
         bg_t = rng.random(n_bg) * n * 10_000.0
         bg_det = rng.integers(0, 4, n_bg).astype(np.uint8)
@@ -423,7 +423,7 @@ class TestOneSortMatchOracle:
         alice = gen_random_code(n_slots, 0.5, 0.5, seed=seed)
         # mostly Alice's own symbol, so the QBER stays a valid estimate
         slot = np.clip(np.round(times / 10_000.0).astype(np.int64), 0, n_slots - 1)
-        dets = ((alice.bases[slot] << 1) | alice.bits[slot]).astype(np.uint8)
+        dets = alice[slot]
         dets = np.where(np.arange(times.size) % 5 == 0, noise, dets)
         return times, dets, alice
 
