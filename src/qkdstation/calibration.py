@@ -113,6 +113,10 @@ def code_density_calibrate(
     clock period T, whose standard deviation is T / sqrt(12 N). At the
     6.25 ns reference clock that is 1.8 ps for N = 1e6 and 4.0 ps for
     N = 2e5. A clock offset recovered through the table inherits it.
+
+    A line is refused as broken when one fine code holds more than half
+    the counts and more than twice its nominal share, 2 / n_taps of
+    them; so a line of two taps is never refused for one wide tap.
     """
     counts = np.asarray(fine_histogram, dtype=np.int64)
     if counts.shape != (config.n_taps + 1,):
@@ -125,7 +129,7 @@ def code_density_calibrate(
     if total == 0:
         raise CalibrationError("empty histogram: no hits to calibrate from")
     peak = int(counts.max())
-    if peak > total // 2:
+    if peak > total // 2 and peak * config.n_taps > 2 * total:
         raise CalibrationError(
             f"fine code {int(counts.argmax())} holds {peak}/{total} counts; "
             "delay line looks broken"

@@ -123,10 +123,12 @@ def stream(
     Discrete-time model: within each 1 us tick all arrivals enqueue first
     (dropping when the buffer is full), then the link drains whatever its
     accumulated byte budget allows. Returns the final buffer state and
-    the indices of delivered words in delivery order. The byte budget is
-    work-conserving: an idle link accrues no credit. ``link_rate`` is a
-    whole number of bytes per second, so a tick adds exactly
-    ``link_rate`` micro-bytes of credit and the budget is an integer.
+    the indices of delivered words in delivery order. Words arrive in a
+    stable sort of ``arrival_times``, so equal times keep input order.
+    The byte budget is work-conserving: an idle link accrues no credit.
+    ``link_rate`` is a whole number of bytes per second, so a tick adds
+    exactly ``link_rate`` micro-bytes of credit and the budget is an
+    integer.
     """
     if depth <= 0:
         raise PackError("buffer depth must be positive")

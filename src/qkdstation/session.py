@@ -147,40 +147,27 @@ def digitize_detections(
     """Run every channel's slice of ``detections`` through its digitizer.
 
     Returns parallel arrays (arrival time, channel, coarse, fine,
-    rollover parity) in global time order, ready for packing.
+    rollover parity) in the (channel, time) order of ``detections``:
+    ``readout.stream`` puts them in arrival order, ties in channel order.
     """
     dets = detections.detectors
     if np.any(dets[1:] < dets[:-1]):  # a channel's hits must be one slice
         raise ConfigError("detections must be in (detector, time) order")
-    times, chans, coarses, fines, rolls = [], [], [], [], []
+    columns = []
     edges = np.searchsorted(dets, np.arange(cfg.tdc.n_channels + 1))
     for c, (lo, hi) in enumerate(zip(edges, edges[1:])):
         # hits landing before the counter epoch (possible with a negative
         # clock offset) never reach the digitizer
         t = detections.times[lo:hi]
         t = t[np.searchsorted(t, 0.0) :]
-        if not t.size:
-            continue
         state = ChannelState(enabled=cfg.channel_enabled(c))
         rng = derive_rng(cfg.seed, "tdc", f"ch{c}")
         batch = digitize_stream(t, profiles[c], state, cfg.tdc, rng)
-        if batch.n == 0:
-            continue
-        times.append(t[batch.accepted_index])
-        chans.append(np.full(batch.n, c, dtype=np.int64))
-        coarses.append(batch.coarse)
-        fines.append(batch.fine)
-        rolls.append(batch.rollover)
-    if not times:
-        empty = np.empty(0, dtype=np.int64)
-        return np.empty(0), empty, empty.copy(), empty.copy(), empty.copy()
-    t = np.concatenate(times)
-    ch = np.concatenate(chans)
-    co = np.concatenate(coarses)
-    fi = np.concatenate(fines)
-    ro = np.concatenate(rolls)
-    order = np.argsort(t, kind="stable")  # ties stay in channel order
-    return t[order], ch[order], co[order], fi[order], ro[order]
+        channel = np.full(batch.n, c, dtype=np.int64)
+        columns.append(
+            (t[batch.accepted_index], channel, batch.coarse, batch.fine, batch.rollover)
+        )
+    return tuple(np.concatenate(col) for col in zip(*columns))
 
 
 def analyze_files(
@@ -276,18 +263,16 @@ def _dump_matched_pairs(path, times, detectors, clock, pulse_period, n_slots, wi
             fh.write("".join(f"{label},{p},{d},{r:.3f}\r\n" for p, d, r in rows))
 
 
-def run_session(
-    cfg: ExperimentConfig, out_dir, config_digest: str = ""
-) -> SessionArtifacts:
-    """Execute the full pipeline and write all artifacts into ``out_dir``."""
-    profiles = build_profiles(cfg)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    timetag_path = out / "session.qtt"
-    sidecar_path = out / "alice.qac"
-    report_path = out / "sift_reports.csv"
-    manifest_path = out / "manifest.json"
+def _write_artifacts(
+    cfg: ExperimentConfig, timetag_path: Path, sidecar_path: Path
+) -> tuple[TruthLedger, readout.ReadoutBuffer]:
+    """The write side of a run: Alice's code through the link, the
+    digitizers and the readout to ``session.qtt`` and ``alice.qac``.
 
+    Only the ledger and the buffer state leave it, so the code, the
+    detections, the records and the words are freed before the replay.
+    """
+    profiles = build_profiles(cfg)
     codes = gen_random_code(
         cfg.n_pulses, cfg.basis_bias, cfg.bit_bias, derive_rng(cfg.seed, "alice")
     )
@@ -296,9 +281,7 @@ def run_session(
     arrival, ch, co, fi, ro = digitize_detections(cfg, detections, profiles)
 
     words = readout.pack_words(ch, co, fi, ro)
-    buffer, delivered = readout.stream(
-        arrival, cfg.buffer_depth, cfg.link_rate
-    )
+    buffer, delivered = readout.stream(arrival, cfg.buffer_depth, cfg.link_rate)
     readout.write_timetag_file(
         timetag_path,
         cfg.tdc,
@@ -315,7 +298,21 @@ def run_session(
         windows=cfg.windows,
     )
     write_alice_sidecar(sidecar_path, codes, meta)
+    return ledger, buffer
 
+
+def run_session(
+    cfg: ExperimentConfig, out_dir, config_digest: str = ""
+) -> SessionArtifacts:
+    """Execute the full pipeline and write all artifacts into ``out_dir``."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    timetag_path = out / "session.qtt"
+    sidecar_path = out / "alice.qac"
+    report_path = out / "sift_reports.csv"
+    manifest_path = out / "manifest.json"
+
+    ledger, buffer = _write_artifacts(cfg, timetag_path, sidecar_path)
     # Analysis runs on the files just written: replay identity for free.
     reports, clock = analyze_files(timetag_path, sidecar_path)
     write_sift_csv(reports, report_path)

@@ -41,13 +41,6 @@ class ClockEstimate:
         if self.n_sync_used < 2:
             raise ConfigError("a clock estimate needs at least 2 sync detections")
 
-    @property
-    def scale(self) -> float:
-        return 1.0 + self.drift_hat_ppm * 1e-6
-
-    def to_sender(self, t_receiver):
-        return np.asarray(t_receiver, dtype=float) / self.scale - self.offset_hat
-
 
 @dataclass(frozen=True)
 class SiftReport:
@@ -188,7 +181,8 @@ def recover_clock(
 
 def _comb_residuals(t, period, offset, drift):
     """Nearest comb index of each time under ``t = (i*period + offset) *
-    (1 + drift)``, and its residual in Alice's time (ps)."""
+    (1 + drift)``, and its residual in Alice's time (ps). The one clock
+    inverse: the sync fit and the pulse-slot match both map through it."""
     u = t / (1.0 + drift) - offset
     idx = np.round(u / period)
     return idx, u - idx * period
@@ -209,9 +203,10 @@ def match_slots(
     check_windows([widest], pulse_period)
     t = np.asarray(times, dtype=float)
     det = np.asarray(detectors, dtype=np.uint8)
-    u = clock.to_sender(t)
-    slot = np.round(u / pulse_period).astype(np.int64)
-    residual = u - slot * pulse_period
+    slot, residual = _comb_residuals(
+        t, pulse_period, clock.offset_hat, clock.drift_hat_ppm * 1e-6
+    )
+    slot = slot.astype(np.int64)
     inside = (np.abs(residual) <= widest / 2) & (slot >= 0) & (slot < n_slots)
 
     # stable and cheap on per-channel time-ordered runs; only crowded

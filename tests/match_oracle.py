@@ -21,7 +21,7 @@ from qkdstation.sift import MatchResult, SiftReport, secure_rate
 def reference_match_pulses(times, detectors, clock, pulse_period, window, n_slots):
     t = np.asarray(times, dtype=float)
     det = np.asarray(detectors, dtype=np.uint8)
-    u = clock.to_sender(t)
+    u = t / (1.0 + clock.drift_hat_ppm * 1e-6) - clock.offset_hat
     slot = np.round(u / pulse_period).astype(np.int64)
     residual = u - slot * pulse_period
     inside = (np.abs(residual) <= window / 2) & (slot >= 0) & (slot < n_slots)

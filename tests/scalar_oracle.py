@@ -15,7 +15,8 @@ one-call draws, as ``reference_gen_random_code`` and
 one gate per detector, with the four gated streams merged into the
 (detector, time) order that ``simulate_link`` returns.
 ``reference_digitize_detections`` takes each channel's hits with a
-boolean mask over all of them, so it reads them in any order.
+boolean mask over all of them, so it reads them in any order, and
+returns the records channel by channel.
 """
 
 from __future__ import annotations
@@ -244,8 +245,8 @@ def reference_simulate_link(alice, link, detectors, clock, seed):
 
 def reference_digitize_detections(cfg, detections, profiles):
     """``session.digitize_detections`` with one boolean mask over all hits
-    per channel, dropping those before the counter epoch; the records are
-    then ordered by time, ties by channel."""
+    per channel, dropping those before the counter epoch; the records
+    come out channel by channel, each channel in time order."""
     columns = []
     for c in range(cfg.tdc.n_channels):
         mask = (detections.detectors == c) & (detections.times >= 0)
@@ -257,9 +258,7 @@ def reference_digitize_detections(cfg, detections, profiles):
         columns.append(
             (t[batch.accepted_index], channel, batch.coarse, batch.fine, batch.rollover)
         )
-    t, ch, co, fi, ro = (np.concatenate(col) for col in zip(*columns))
-    order = np.lexsort((ch, t))
-    return t[order], ch[order], co[order], fi[order], ro[order]
+    return tuple(np.concatenate(col) for col in zip(*columns))
 
 
 def digitize(

@@ -59,6 +59,24 @@ class TestCodeDensity:
         with pytest.raises(CalibrationError, match="broken"):
             code_density_calibrate(hist, small_config())
 
+    @pytest.mark.parametrize(
+        "hist, broken",
+        [
+            ([501, 499, 0], False),  # two taps: a code may hold them all
+            ([1000, 0, 0], False),
+            ([660, 340, 0, 0], False),  # three taps: up to 2/3 is legal
+            ([670, 330, 0, 0], True),
+        ],
+    )
+    def test_broken_line_rule_scales_with_taps(self, hist, broken):
+        cfg = TdcConfig(clock_period=100.0, n_taps=len(hist) - 1, n_channels=1)
+        if broken:
+            with pytest.raises(CalibrationError, match="broken"):
+                code_density_calibrate(np.array(hist), cfg)
+        else:
+            table = code_density_calibrate(np.array(hist), cfg)
+            assert table.bin_widths.sum() == pytest.approx(100.0)
+
     def test_wrong_length_rejected(self):
         with pytest.raises(CalibrationError):
             code_density_calibrate(np.ones(4, dtype=int), small_config())

@@ -3,7 +3,9 @@ import csv
 import importlib.util
 import json
 import math
+import re
 import struct
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -390,6 +392,19 @@ class TestCliCalibrate:
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["calibrate", "--config", str(tmp_path / "nope.ini")]) == 2
 
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_two_tap_line_calibrates(self, tmp_path, seed):
+        # under the reference DNL one of two taps holds just over half the
+        # counts; that is a legal line, not a broken one
+        text = reference_config_text()
+        for key, value in (("n_taps", 2), ("n_channels", 2), ("jitter_sigma_ps", 13.0), ("seed", seed)):
+            text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, count=1, flags=re.M)
+        path = tmp_path / "two_tap.ini"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["calibrate", "--config", str(path), "--output", str(out)]) == 0
+        assert (out / "calibration.qtt").is_file()
+
 
 class TestCliPrecision:
     def test_pairs_written(self, small_config, tmp_path):
@@ -512,6 +527,31 @@ class TestCliRunAnalyze:
             report = next(csv.DictReader(fh))
         assert len(rows) == int(report["matched"])
         assert all(abs(float(r["residual_ps"])) <= 500.0 for r in rows)
+
+    def test_write_side_frees_its_arrays(self, small_config, tmp_path, monkeypatch):
+        # the replay reads only the files, so Alice's code and the digitized
+        # records are dead before it starts
+        made = []
+
+        def keep_refs(real):
+            def wrapped(*args, **kwargs):
+                out = real(*args, **kwargs)
+                made.extend(weakref.ref(a) for a in (out if isinstance(out, tuple) else (out,)))
+                return out
+
+            return wrapped
+
+        real_analyze = session.analyze_files
+
+        def analyze(*args, **kwargs):
+            alive = sum(ref() is not None for ref in made)
+            assert len(made) == 6 and alive == 0, f"{alive} of {len(made)} arrays alive"
+            return real_analyze(*args, **kwargs)
+
+        for name in ("gen_random_code", "digitize_detections"):
+            monkeypatch.setattr(session, name, keep_refs(getattr(session, name)))
+        monkeypatch.setattr(session, "analyze_files", analyze)
+        session.run_session(load_config(small_config), tmp_path / "out")
 
     def test_dump_pairs_match_per_window_oracle(self, small_config, tmp_path, monkeypatch):
         out = tmp_path / "out"

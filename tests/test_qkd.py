@@ -31,7 +31,7 @@ from qkdstation.qkd import (
     simulate_link,
     write_alice_sidecar,
 )
-from qkdstation.sift import ClockEstimate
+from qkdstation.sift import ClockEstimate, match_slots
 
 
 def quiet_detectors(**kw):
@@ -191,13 +191,19 @@ class TestSimulateLink:
         assert abs(np.mean(bits) - 0.5) < 3 * np.sqrt(0.25 / k)
 
     def test_clock_transform_invertible(self):
+        # match_slots maps receiver times back to Alice's pulse slots: the
+        # pulse indices and their residuals come back
         clock = ClockModel(offset=1e8, drift_ppm=10.0)
-        t = np.linspace(0.0, 1e12, 1000)
         inverse = ClockEstimate(
             offset_hat=1e8, drift_hat_ppm=10.0, residual_rms=0.0, n_sync_used=2
         )
-        back = inverse.to_sender(clock.to_receiver(t))
-        assert np.max(np.abs(back - t)) < 1e-3
+        pulses = np.arange(1000) * 100_000
+        residual = np.random.default_rng(3).uniform(-400.0, 400.0, pulses.size)
+        t = clock.to_receiver(pulses * 10_000.0 + residual)
+        dets = np.zeros(t.size, dtype=np.uint8)
+        m = match_slots(t, dets, inverse, 10_000.0, 1000.0, 10**8)
+        np.testing.assert_array_equal(m.pulse_index, pulses)
+        assert np.max(np.abs(m.residual - residual)) < 1e-3
 
     def test_qber_matches_analytic_within_3_sigma(self):
         # error sources: intrinsic flips on same-basis signal detections

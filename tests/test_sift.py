@@ -410,7 +410,8 @@ class TestOneSortMatchOracle:
     def test_no_crowded_slot(self, clock):
         rng = np.random.default_rng(21)
         slots = rng.permutation(200)[:150]
-        times = clock.scale * (slots * 10_000.0 + rng.uniform(-450, 450, 150) + clock.offset_hat)
+        scale = 1.0 + clock.drift_hat_ppm * 1e-6
+        times = scale * (slots * 10_000.0 + rng.uniform(-450, 450, 150) + clock.offset_hat)
         dets = rng.integers(0, 4, 150).astype(np.uint8)
         winners = match_slots(times, dets, clock, 10_000.0, DENSE_WINDOWS[-1], 200)
         assert winners.n == 150

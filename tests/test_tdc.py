@@ -18,6 +18,7 @@ from shipped_config import load_reference
 from qkdstation.calibration import table_from_profile
 from qkdstation.errors import CalibrationError, ConfigError
 from qkdstation.qkd import DetectionSet
+from qkdstation.readout import pack_words, read_timetag_file, stream, write_timetag_file
 from qkdstation.session import build_profiles, digitize_detections
 from qkdstation.tdc import (
     ChannelState,
@@ -196,9 +197,9 @@ class TestDigitize:
             digitize(RawHit(0, 1000.0), p, ChannelState(), cfg)
 
 
-def test_digitize_detections_equals_mask_reference():
-    # hits before the counter epoch, times shared across channels, channel
-    # 1 disabled and channel 3 with no hits
+def _digitize_case():
+    """Hits before the counter epoch, times shared across channels,
+    channel 1 disabled and channel 3 with no hits."""
     cfg = replace(load_reference(), enabled_channels=(0, 2, 3, 4))
     rng = np.random.default_rng(5)
     shared = np.array([-500.0, 0.0, 400_000.0, 9_123_456.7])
@@ -206,14 +207,34 @@ def test_digitize_detections_equals_mask_reference():
     for d in (0, 1, 2, 4):
         t = np.sort(np.concatenate([shared, rng.uniform(-2e5, 1e8, 200)]))
         parts.append(DetectionSet(t, np.full(t.size, d), np.zeros(t.size)))
-    detections = DetectionSet.merge(*parts)
-    profiles = build_profiles(cfg)
+    return cfg, DetectionSet.merge(*parts), build_profiles(cfg)
+
+
+def test_digitize_detections_equals_mask_reference():
+    cfg, detections, profiles = _digitize_case()
     got = digitize_detections(cfg, detections, profiles)
     want = reference_digitize_detections(cfg, detections, profiles)
-    # the hit at the epoch is kept, and a tie across channels reaches the output
-    assert 0.0 in got[0] and np.any(np.diff(got[0]) == 0)
+    # the hit at the epoch is kept, and the records stay in channel runs
+    assert 0.0 in got[0] and np.all(np.diff(got[1]) >= 0)
     for g, w in zip(got, want, strict=True):
         np.testing.assert_array_equal(g, w)
+
+
+def test_ties_across_channels_reach_the_file_in_channel_order(tmp_path):
+    # stream's stable arrival sort is the only one: records with equal
+    # arrival times on different channels leave it, and so reach the
+    # time-tag file, in channel order, as lexsort((channel, time)) puts them
+    cfg, detections, profiles = _digitize_case()
+    t, ch, co, fi, ro = digitize_detections(cfg, detections, profiles)
+    buffer, delivered = stream(t, cfg.buffer_depth, cfg.link_rate)
+    assert buffer.drops == 0
+    want = np.lexsort((ch, t))[: buffer.delivered]
+    assert np.any(np.diff(t[want]) == 0)  # a tie across channels is delivered
+    np.testing.assert_array_equal(delivered, want)
+    words = pack_words(ch, co, fi, ro)
+    path = tmp_path / "ties.qtt"
+    write_timetag_file(path, cfg.tdc, words[delivered])
+    np.testing.assert_array_equal(read_timetag_file(path)[1], words[want])
 
 
 def test_digitize_detections_refuses_time_order():
