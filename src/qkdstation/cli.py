@@ -150,7 +150,7 @@ def cmd_run(args) -> int:
     cfg = load_config(args.config)
     artifacts = run_session(cfg, args.output, file_digest(args.config))
     print(describe(artifacts))
-    print(f"artifacts in {artifacts.manifest_path.parent}")
+    print(f"artifacts in {Path(args.output)}")
     return _key_exit(artifacts.reports)
 
 

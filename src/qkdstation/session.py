@@ -63,8 +63,6 @@ class SessionArtifacts:
 
     timetag_path: Path
     sidecar_path: Path
-    report_path: Path
-    manifest_path: Path
     reports: list[SiftReport]
     clock: ClockEstimate
     ledger: TruthLedger
@@ -153,6 +151,8 @@ def digitize_detections(
     dets = detections.detectors
     if np.any(dets[1:] < dets[:-1]):  # a channel's hits must be one slice
         raise ConfigError("detections must be in (detector, time) order")
+    if dets.size and int(dets[-1]) >= cfg.tdc.n_channels:
+        raise ConfigError(f"detector {dets[-1]} has no channel under [tdc] n_channels")
     columns = []
     edges = np.searchsorted(dets, np.arange(cfg.tdc.n_channels + 1))
     for c, (lo, hi) in enumerate(zip(edges, edges[1:])):
@@ -207,7 +207,7 @@ def analyze_files(
         )
 
     sync_times = np.empty(0)
-    data_times, data_dets = [], []
+    data_times, data_dets = [np.empty(0)], [np.empty(0, dtype=np.uint8)]
     for c in np.flatnonzero(np.bincount(channel)):
         rows = np.flatnonzero(channel == c)
         # a coarse decrease is a counter wrap iff the rollover parity flips
@@ -228,11 +228,7 @@ def analyze_files(
             data_dets.append(np.full(ts.size, int(c), dtype=np.uint8))
 
     clock = recover_clock(sync_times, meta.sync_period, meta.offset_bound)
-    if data_times:
-        dtimes = np.concatenate(data_times)
-        ddets = np.concatenate(data_dets)
-    else:
-        dtimes, ddets = np.empty(0), np.empty(0, dtype=np.uint8)
+    dtimes, ddets = np.concatenate(data_times), np.concatenate(data_dets)
     use_windows = tuple(windows) if windows is not None else meta.windows
     reports = window_scan(
         dtimes,
@@ -253,13 +249,13 @@ def analyze_files(
 
 
 def _dump_matched_pairs(path, times, detectors, clock, pulse_period, n_slots, windows):
-    winners = match_slots(times, detectors, clock, pulse_period, windows[-1], n_slots)
+    pulse, det, res = match_slots(times, detectors, clock, pulse_period, windows[-1], n_slots)
     # csv.writer's bytes (no field needs quoting), formatted a window at a time
     with open(path, "w", newline="") as fh:
         fh.write("window_ps,pulse_index,detector,residual_ps\r\n")
         for w in windows:
-            m, label = winners.at(w), f"{w:.1f}"
-            rows = zip(m.pulse_index.tolist(), m.detector.tolist(), m.residual.tolist())
+            keep, label = np.abs(res) <= w / 2, f"{w:.1f}"
+            rows = zip(pulse[keep].tolist(), det[keep].tolist(), res[keep].tolist())
             fh.write("".join(f"{label},{p},{d},{r:.3f}\r\n" for p, d, r in rows))
 
 
@@ -305,12 +301,13 @@ def run_session(
     cfg: ExperimentConfig, out_dir, config_digest: str = ""
 ) -> SessionArtifacts:
     """Execute the full pipeline and write all artifacts into ``out_dir``."""
+    if cfg.tdc.n_channels <= SYNC_CHANNEL:  # the sync detector is on channel 4
+        raise ConfigError(f"run needs [tdc] n_channels of at least {SYNC_CHANNEL + 1}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     timetag_path = out / "session.qtt"
     sidecar_path = out / "alice.qac"
     report_path = out / "sift_reports.csv"
-    manifest_path = out / "manifest.json"
 
     ledger, buffer = _write_artifacts(cfg, timetag_path, sidecar_path)
     # Analysis runs on the files just written: replay identity for free.
@@ -350,13 +347,11 @@ def run_session(
         outputs=outputs,
         summary=summary,
     )
-    manifest_path.write_text(manifest.to_json() + "\n")
+    (out / "manifest.json").write_text(manifest.to_json() + "\n")
 
     return SessionArtifacts(
         timetag_path=timetag_path,
         sidecar_path=sidecar_path,
-        report_path=report_path,
-        manifest_path=manifest_path,
         reports=reports,
         clock=clock,
         ledger=ledger,

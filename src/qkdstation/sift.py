@@ -14,7 +14,7 @@ is the whole point of good timing resolution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,40 +64,6 @@ class SiftReport:
             self.qber, self.errors_found / self.disclosed, rel_tol=1e-12, abs_tol=1e-15
         ):
             raise ConfigError("qber must equal errors_found / disclosed")
-
-
-@dataclass(frozen=True)
-class MatchResult:
-    """Detections matched to pulse slots, one winner per slot, by slot.
-
-    :func:`match_slots` builds it at the widest window: a stable sort by
-    slot, then a ``lexsort`` of the crowded slots only. A narrower window
-    keeps each winner or nothing, so :meth:`at` narrows it in one mask.
-    """
-
-    pulse_index: np.ndarray
-    detector: np.ndarray
-    residual: np.ndarray  # ps, detection minus slot center in Alice time, within +-window/2
-    window: float
-    pulse_period: float
-    n_slots: int
-
-    @property
-    def n(self) -> int:
-        return self.pulse_index.size
-
-    def at(self, window: float) -> MatchResult:
-        """The match at ``window``, no wider than the one matched."""
-        if window > self.window:
-            raise ConfigError(f"window {window} ps is wider than the {self.window} ps matched")
-        keep = np.abs(self.residual) <= window / 2
-        return replace(
-            self,
-            pulse_index=self.pulse_index[keep],
-            detector=self.detector[keep],
-            residual=self.residual[keep],
-            window=window,
-        )
 
 
 def recover_clock(
@@ -195,10 +161,16 @@ def match_slots(
     pulse_period: float,
     widest: float,
     n_slots: int,
-) -> MatchResult:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Map detections to Alice's pulse slots and pick each slot's winner
     among those within ``widest``; ties break on earlier time, then lower
     detector id, so the result is independent of input ordering.
+
+    Returns the winners' ``(pulse_index, detector, residual)``, ordered
+    by slot; a residual is the detection minus its slot center in Alice's
+    time (ps). One stable sort by slot, then a ``lexsort`` of the crowded
+    slots only. A narrower window keeps each winner or nothing, so the
+    match at ``w <= widest`` is the mask ``np.abs(residual) <= w / 2``.
     """
     check_windows([widest], pulse_period)
     t = np.asarray(times, dtype=float)
@@ -221,15 +193,7 @@ def match_slots(
     keys = (det[idx], t[idx], np.abs(residual[idx]), slot[crowded])
     order[crowded] = idx[np.lexsort(keys)]
     win = order[first]
-
-    return MatchResult(
-        pulse_index=slot[first],
-        detector=det[win],
-        residual=residual[win],
-        window=widest,
-        pulse_period=pulse_period,
-        n_slots=n_slots,
-    )
+    return slot[first], det[win], residual[win]
 
 
 def binary_entropy(x: float) -> float:
@@ -276,15 +240,17 @@ def window_scan(
     w = check_windows(windows, pulse_period)
     if not 0 < disclose_fraction <= 1:
         raise ConfigError("disclose_fraction must lie in (0, 1]")
-    match = match_slots(times, detectors, clock, pulse_period, w[-1], codes.size)
-    if match.n and int(match.detector.max()) > 3:
+    pulse_index, detector, residual = match_slots(
+        times, detectors, clock, pulse_period, w[-1], codes.size
+    )
+    if detector.size and int(detector.max()) > 3:
         raise ConfigError("sync detections must not enter sifting")
-    d = match.detector ^ codes[match.pulse_index]  # bit 1: bases differ, bit 0: bits differ
+    d = detector ^ codes[pulse_index]  # bit 1: bases differ, bit 0: bits differ
     same = d < 2
     wrong = d[same] == 1
-    res = np.abs(match.residual)
+    res = np.abs(residual)
     res_sifted = res[same]
-    duration_s = match.n_slots * match.pulse_period / 1e12
+    duration_s = codes.size * pulse_period / 1e12
     reports = []
     for i, window in enumerate(w):
         key_wrong = wrong[res_sifted <= window / 2]  # the sifted bits, in key order

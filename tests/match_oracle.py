@@ -11,11 +11,29 @@ scan must agree with it field for field at every window.
 """
 
 import csv
+from dataclasses import dataclass
 
 import numpy as np
 
 from qkdstation.seeding import derive_rng
-from qkdstation.sift import MatchResult, SiftReport, secure_rate
+from qkdstation.sift import SiftReport, secure_rate
+
+
+@dataclass(frozen=True)
+class ReferenceMatch:
+    """One reference match: the winners by slot, the window they were
+    matched at and the session's pulse period and slot count."""
+
+    pulse_index: np.ndarray
+    detector: np.ndarray
+    residual: np.ndarray
+    window: float
+    pulse_period: float
+    n_slots: int
+
+    @property
+    def n(self) -> int:
+        return self.pulse_index.size
 
 
 def reference_match_pulses(times, detectors, clock, pulse_period, window, n_slots):
@@ -34,7 +52,7 @@ def reference_match_pulses(times, detectors, clock, pulse_period, window, n_slot
     first = np.ones(slot.size, dtype=bool)
     first[1:] = slot[1:] != slot[:-1]
 
-    return MatchResult(
+    return ReferenceMatch(
         pulse_index=slot[first],
         detector=det_in[first],
         residual=residual[first],
@@ -102,10 +120,16 @@ def write_reference_pairs(path, times, detectors, clock, pulse_period, n_slots, 
                 )
 
 
-def assert_same_match(got: MatchResult, want: MatchResult):
-    for name in ("pulse_index", "detector", "residual"):
-        a, b = getattr(got, name), getattr(want, name)
+def narrow(winners, window):
+    """``match_slots``' ``(pulse_index, detector, residual)`` narrowed to a
+    window no wider than the one matched."""
+    keep = np.abs(winners[2]) <= window / 2
+    return tuple(a[keep] for a in winners)
+
+
+def assert_same_match(got, want: ReferenceMatch):
+    """``got`` is ``match_slots``' ``(pulse_index, detector, residual)``."""
+    for name, a in zip(("pulse_index", "detector", "residual"), got, strict=True):
+        b = getattr(want, name)
         assert a.dtype == b.dtype, name
         assert np.array_equal(a, b), name
-    assert got.window == want.window
-    assert got.n_slots == want.n_slots

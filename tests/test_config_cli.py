@@ -778,6 +778,24 @@ class TestCliRunAnalyze:
         assert err.startswith("analysis failed: ") and "DLASCL" not in err
         assert not (tmp_path / "a").exists()
 
+    @pytest.mark.parametrize("n_channels", [1, 2, 4])
+    def test_board_without_sync_channel_exit_2(self, tmp_path, capsys, n_channels):
+        # the sync detector is wired to channel 4: a board of n_channels <= 4
+        # is a config error, refused before the run makes any output
+        text = reference_config_text()
+        for key, value in (("n_channels", n_channels), ("jitter_sigma_ps", 13.0)):
+            text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, count=1, flags=re.M)
+        path = tmp_path / "few.ini"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "[tdc] n_channels" in err
+        assert not out.exists()
+        with pytest.raises(ConfigError, match=r"\[tdc\] n_channels"):
+            session.run_session(load_config(path), out)
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["analyze", "run", "calibrate"])
     def test_failed_command_leaves_no_output_dir(
         self, small_run, tmp_path, capfd, monkeypatch, command

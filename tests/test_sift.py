@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from match_oracle import (
     assert_same_match,
+    narrow,
     reference_match_pulses,
     reference_window_scan,
 )
@@ -10,7 +11,6 @@ from qkdstation.errors import ConfigError, SyncRecoveryError
 from qkdstation.qkd import ClockModel, emit_sync, gen_random_code
 from qkdstation.sift import (
     ClockEstimate,
-    MatchResult,
     binary_entropy,
     match_slots,
     recover_clock,
@@ -83,44 +83,39 @@ class TestRecoverClock:
 
 class TestMatchPulses:
     def test_inside_window_matched(self):
-        m = match_slots(
+        pulse, _, res = match_slots(
             np.array([10_000.0 + 400.0]), np.array([0]), IDENTITY, 10_000.0, 1000.0, 10
-        ).at(1000.0)
-        assert m.n == 1 and m.pulse_index[0] == 1
-        assert m.residual[0] == pytest.approx(400.0)
+        )
+        assert pulse.size == 1 and pulse[0] == 1
+        assert res[0] == pytest.approx(400.0)
 
     def test_outside_window_unmatched(self):
-        m = match_slots(
+        pulse, _, _ = match_slots(
             np.array([10_000.0 + 2000.0]), np.array([0]), IDENTITY, 10_000.0, 1000.0, 10
-        ).at(1000.0)
-        assert m.n == 0
+        )
+        assert pulse.size == 0
 
     def test_tie_keeps_smallest_residual(self):
         times = np.array([50_000.0 + 100.0, 50_000.0 - 300.0])
-        m = match_slots(times, np.array([0, 1]), IDENTITY, 10_000.0, 1000.0, 10).at(1000.0)
-        assert m.n == 1
-        assert m.residual[0] == pytest.approx(100.0)
-        assert m.detector[0] == 0
+        pulse, det, res = match_slots(times, np.array([0, 1]), IDENTITY, 10_000.0, 1000.0, 10)
+        assert pulse.size == 1
+        assert res[0] == pytest.approx(100.0)
+        assert det[0] == 0
 
     def test_window_too_wide_rejected(self):
         with pytest.raises(ConfigError):
-            match_slots(np.array([1.0]), np.array([0]), IDENTITY, 10_000.0, 5000.0, 10).at(5000.0)
-
-    def test_wider_than_matched_rejected(self):
-        m = match_slots(np.array([10_000.0 + 700.0]), np.array([0]), IDENTITY, 10_000.0, 1000.0, 10)
-        with pytest.raises(ConfigError, match="wider than"):
-            m.at(2000.0)
+            match_slots(np.array([1.0]), np.array([0]), IDENTITY, 10_000.0, 5000.0, 10)
 
     def test_order_independence(self):
         rng = np.random.default_rng(5)
         times = rng.random(2000) * 1e7
         dets = rng.integers(0, 4, 2000).astype(np.uint8)
-        m1 = match_slots(times, dets, IDENTITY, 10_000.0, 1000.0, 1000).at(1000.0)
+        p1, d1, r1 = match_slots(times, dets, IDENTITY, 10_000.0, 1000.0, 1000)
         perm = rng.permutation(2000)
-        m2 = match_slots(times[perm], dets[perm], IDENTITY, 10_000.0, 1000.0, 1000).at(1000.0)
-        assert np.array_equal(m1.pulse_index, m2.pulse_index)
-        assert np.array_equal(m1.detector, m2.detector)
-        np.testing.assert_allclose(m1.residual, m2.residual)
+        p2, d2, r2 = match_slots(times[perm], dets[perm], IDENTITY, 10_000.0, 1000.0, 1000)
+        assert np.array_equal(p1, p2)
+        assert np.array_equal(d1, d2)
+        np.testing.assert_allclose(r1, r2)
 
     def test_window_superset_property(self):
         rng = np.random.default_rng(6)
@@ -128,15 +123,15 @@ class TestMatchPulses:
         dets = rng.integers(0, 4, 5000).astype(np.uint8)
         pairs = []
         for w in (400.0, 900.0, 2000.0):
-            m = match_slots(times, dets, IDENTITY, 10_000.0, w, 1000).at(w)
-            pairs.append(set(zip(m.pulse_index.tolist(), m.detector.tolist())))
+            pulse, det, _ = match_slots(times, dets, IDENTITY, 10_000.0, w, 1000)
+            pairs.append(set(zip(pulse.tolist(), det.tolist())))
         assert pairs[0] <= pairs[1] <= pairs[2]
 
     def test_slot_bounds_respected(self):
         times = np.array([-5_000.0, 0.0, 99_999.0 * 10_000.0])
-        m = match_slots(times, np.zeros(3, np.uint8), IDENTITY, 10_000.0, 1000.0, 10).at(1000.0)
+        pulse, _, _ = match_slots(times, np.zeros(3, np.uint8), IDENTITY, 10_000.0, 1000.0, 10)
         # only the detection at t=0 maps to a valid slot
-        assert m.n == 1 and m.pulse_index[0] == 0
+        assert pulse.size == 1 and pulse[0] == 0
 
 
 def ideal_sift(alice, detector_bits, bases, disclose_fraction, seed):
@@ -310,9 +305,9 @@ class TestClockMatchConsistency:
         n = 50_000
         sig_alice = np.arange(n, dtype=float) * 10_000.0
         times = clock.to_receiver(sig_alice)
-        m = match_slots(times, np.zeros(n, np.uint8), est, 10_000.0, 1000.0, n).at(1000.0)
-        assert m.n == n
-        assert abs(float(np.mean(m.residual))) < 1.0
+        pulse, _, res = match_slots(times, np.zeros(n, np.uint8), est, 10_000.0, 1000.0, n)
+        assert pulse.size == n
+        assert abs(float(np.mean(res))) < 1.0
 
 
 def match_fixture(seed, n_slots=200, period=10_000.0):
@@ -343,8 +338,8 @@ class TestOneSortMatchOracle:
         winners = match_slots(times, dets, clock, 10_000.0, DENSE_WINDOWS[-1], 200)
         for w in DENSE_WINDOWS:
             want = reference_match_pulses(times, dets, clock, 10_000.0, w, 200)
-            assert_same_match(winners.at(w), want)
-            assert_same_match(match_slots(times, dets, clock, 10_000.0, w, 200).at(w), want)
+            assert_same_match(narrow(winners, w), want)
+            assert_same_match(match_slots(times, dets, clock, 10_000.0, w, 200), want)
 
     def test_fixtures_reach_ties_duplicates_and_crowding(self):
         times, dets = match_fixture(0)
@@ -365,14 +360,14 @@ class TestOneSortMatchOracle:
         winners = match_slots(times, dets, IDENTITY, 10_000.0, 1002.0, 5)
         for w in (1000.0, 1002.0):
             want = reference_match_pulses(times, dets, IDENTITY, 10_000.0, w, 5)
-            assert_same_match(winners.at(w), want)
+            assert_same_match(narrow(winners, w), want)
 
     def test_empty_input(self):
         empty = np.empty(0)
         winners = match_slots(empty, empty, IDENTITY, 10_000.0, DENSE_WINDOWS[-1], 10)
         for w in DENSE_WINDOWS:
             want = reference_match_pulses(empty, empty, IDENTITY, 10_000.0, w, 10)
-            assert_same_match(winners.at(w), want)
+            assert_same_match(narrow(winners, w), want)
             assert want.n == 0
 
     def test_tie_on_residual_breaks_on_time_then_detector(self):
@@ -381,9 +376,10 @@ class TestOneSortMatchOracle:
         times = np.array([10_200.0, 9_800.0, 10_200.0, 9_800.0, 30_000.0])
         dets = np.array([2, 3, 0, 1, 0], dtype=np.uint8)
         winners = match_slots(times, dets, IDENTITY, 10_000.0, 1000.0, 5)
-        assert winners.pulse_index.tolist() == [1, 3]
-        assert winners.detector.tolist() == [1, 0]
-        assert winners.residual.tolist() == [-200.0, 0.0]
+        pulse, det, res = winners
+        assert pulse.tolist() == [1, 3]
+        assert det.tolist() == [1, 0]
+        assert res.tolist() == [-200.0, 0.0]
         want = reference_match_pulses(times, dets, IDENTITY, 10_000.0, 1000.0, 5)
         assert_same_match(winners, want)
 
@@ -391,7 +387,7 @@ class TestOneSortMatchOracle:
         times = np.full(3, 20_100.0)
         dets = np.array([3, 2, 1], dtype=np.uint8)
         winners = match_slots(times, dets, IDENTITY, 10_000.0, 1000.0, 5)
-        assert winners.detector.tolist() == [1]
+        assert winners[1].tolist() == [1]
         want = reference_match_pulses(times, dets, IDENTITY, 10_000.0, 1000.0, 5)
         assert_same_match(winners, want)
 
@@ -401,8 +397,9 @@ class TestOneSortMatchOracle:
         times = np.array([300.0, -100.0, 40_000.0, 90_400.0, 89_900.0, 90_100.0])
         dets = np.array([0, 1, 2, 3, 2, 1], dtype=np.uint8)
         winners = match_slots(times, dets, IDENTITY, 10_000.0, 1000.0, 10)
-        assert winners.pulse_index.tolist() == [0, 4, 9]
-        assert winners.detector.tolist() == [1, 2, 2]
+        pulse, det, _ = winners
+        assert pulse.tolist() == [0, 4, 9]
+        assert det.tolist() == [1, 2, 2]
         want = reference_match_pulses(times, dets, IDENTITY, 10_000.0, 1000.0, 10)
         assert_same_match(winners, want)
 
@@ -414,10 +411,10 @@ class TestOneSortMatchOracle:
         times = scale * (slots * 10_000.0 + rng.uniform(-450, 450, 150) + clock.offset_hat)
         dets = rng.integers(0, 4, 150).astype(np.uint8)
         winners = match_slots(times, dets, clock, 10_000.0, DENSE_WINDOWS[-1], 200)
-        assert winners.n == 150
+        assert winners[0].size == 150
         for w in DENSE_WINDOWS:
             want = reference_match_pulses(times, dets, clock, 10_000.0, w, 200)
-            assert_same_match(winners.at(w), want)
+            assert_same_match(narrow(winners, w), want)
 
     def _scan_case(self, seed, n_slots=200):
         times, noise = match_fixture(seed, n_slots)

@@ -244,6 +244,15 @@ def test_digitize_detections_refuses_time_order():
         digitize_detections(cfg, detections, build_profiles(cfg))
 
 
+def test_digitize_detections_refuses_a_detector_without_channel():
+    # the sync detector (4) on a four-channel board: refused, not dropped
+    ref = load_reference()
+    cfg = replace(ref, tdc=replace(ref.tdc, n_channels=4), jitter_sigma=(13.0,))
+    detections = DetectionSet([1e6, 2e6, 3e6], [0, 3, 4], [0, 0, 0])
+    with pytest.raises(ConfigError, match=r"detector 4 has no channel under \[tdc\] n_channels"):
+        digitize_detections(cfg, detections, build_profiles(cfg))
+
+
 class TestReconstruct:
     def test_on_edge_convention(self):
         cfg = TdcConfig()
