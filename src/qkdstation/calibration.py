@@ -138,22 +138,12 @@ def code_density_calibrate(
     return _table_from_widths(channel, widths, config.clock_period)
 
 
-def table_from_profile(profile: DelayLineProfile, config: TdcConfig) -> CalibrationTable:
-    """Exact table for a known delay line (infinite-statistics limit)."""
-    widths = np.concatenate((profile.tap_delays, [0.0]))
-    return _table_from_widths(profile.channel, widths, config.clock_period)
-
-
 def table_from_widths(
     channel: int, tap_widths: np.ndarray, config: TdcConfig
 ) -> CalibrationTable:
-    """Rebuild a table from the n_taps bin widths stored in a time-tag file."""
-    w = np.asarray(tap_widths, dtype=float)
-    if w.shape != (config.n_taps,):
-        raise CalibrationError(f"expected {config.n_taps} widths, got {w.shape}")
-    if np.any(w < 0):
-        raise CalibrationError("bin widths must be nonnegative")
-    widths = np.concatenate((w, [0.0]))
+    """Rebuild a table from n_taps nonnegative bin widths: a channel's row
+    of a time-tag file, or a delay line's own tap delays (the exact table)."""
+    widths = np.concatenate((tap_widths, [0.0]))
     return _table_from_widths(channel, widths, config.clock_period)
 
 
@@ -234,8 +224,8 @@ def precision_test(
     dither = rng.random(n) * config.clock_period
     t_a = base + dither
     t_b = t_a + cable_delay
-    cal_a = table_from_profile(profile_a, config)
-    cal_b = table_from_profile(profile_b, config)
+    cal_a = table_from_widths(profile_a.channel, profile_a.tap_delays, config)
+    cal_b = table_from_widths(profile_b.channel, profile_b.tap_delays, config)
 
     rng_a = derive_rng(seed, "precision", f"jitter-ch{pair[0]}")
     rng_b = derive_rng(seed, "precision", f"jitter-ch{pair[1]}")

@@ -45,13 +45,13 @@ def pack_words(
     channel: np.ndarray,
     coarse: np.ndarray,
     fine: np.ndarray,
-    rollover: np.ndarray | int = 0,
+    rollover: np.ndarray,
 ) -> np.ndarray:
     """Vectorized pack of parallel field arrays into uint64 words."""
     ch = np.asarray(channel, dtype=np.int64)
     co = np.asarray(coarse, dtype=np.int64)
     fi = np.asarray(fine, dtype=np.int64)
-    ro = np.broadcast_to(np.asarray(rollover, dtype=np.int64), fi.shape)
+    ro = np.asarray(rollover, dtype=np.int64)
     for name, arr, limit in (
         ("fine", fi, _FINE_MASK),
         ("coarse", co, _COARSE_MASK),
@@ -69,21 +69,14 @@ def pack_words(
 
 
 def unpack_words(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized unpack to (channel, coarse, fine, rollover) arrays."""
-    w = _check_reserved(np.asarray(words, dtype=np.uint64))
+    """Vectorized unpack to (channel, coarse, fine, rollover) arrays. The
+    reserved bits are ignored: ``read_timetag_file`` refuses them."""
+    w = np.asarray(words, dtype=np.uint64)
     channel = ((w >> np.uint64(_CHANNEL_SHIFT)) & np.uint64(_CHANNEL_MASK)).astype(np.int64)
     coarse = ((w >> np.uint64(_COARSE_SHIFT)) & np.uint64(_COARSE_MASK)).astype(np.int64)
     fine = (w & np.uint64(_FINE_MASK)).astype(np.int64)
     rollover = ((w >> np.uint64(_ROLLOVER_SHIFT)) & np.uint64(1)).astype(np.int64)
     return channel, coarse, fine, rollover
-
-
-def _check_reserved(w: np.ndarray) -> np.ndarray:
-    """``w``, after raising PackError naming its first word with reserved bits."""
-    if np.any(w >> np.uint64(_RESERVED_SHIFT)):
-        bad = int(np.argmax(w >> np.uint64(_RESERVED_SHIFT) != 0))
-        raise PackError(f"word {bad} ({int(w[bad]):#018x}) has nonzero reserved bits")
-    return w
 
 
 def unwrap_coarse(coarse: np.ndarray) -> np.ndarray:
@@ -202,9 +195,9 @@ def _link_takes(arrivals: np.ndarray, depth: int, rate: int) -> tuple[np.ndarray
 
 # --- Time-tag file -----------------------------------------------------------
 #
-# Layout: a 64-byte header, then `record count` packed words, then an
-# optional calibration block (n_channels * n_taps little-endian f64 bin
-# widths) at the offset named in the header.
+# Layout: a 64-byte header, then `record count` packed words, then the
+# calibration block (n_channels * n_taps little-endian f64 bin widths) at
+# the offset named in the header, which is the end of the words.
 
 TIMETAG_MAGIC = b"QTT1"
 TIMETAG_VERSION = 1
@@ -219,32 +212,28 @@ class TimeTagHeader:
     n_taps: int
     n_channels: int
     n_records: int
-    calibration_offset: int = 0
+    calibration_offset: int
 
 
 def write_timetag_file(
-    path,
-    config: TdcConfig,
-    words: np.ndarray,
-    tap_widths: np.ndarray | None = None,
+    path, config: TdcConfig, words: np.ndarray, tap_widths: np.ndarray
 ) -> None:
-    """Write words (uint64 array) and, optionally, per-channel bin widths.
+    """Write words (uint64 array) and the per-channel bin widths.
 
-    ``tap_widths`` has shape (n_channels, n_taps) in ps. What the reader
-    refuses raises before the file is opened: a word with nonzero reserved
-    bits PackError, a negative or non-finite width FileFormatError.
+    ``tap_widths`` has shape (n_channels, n_taps) in ps. A word or a
+    width the reader would refuse raises its FileFormatError, naming the
+    byte offset it would have on disk, before the file is opened.
     """
-    w = _check_reserved(np.ascontiguousarray(np.asarray(words, dtype="<u8")))
-    cal_offset = 0
-    if tap_widths is not None:
-        widths = np.asarray(tap_widths, dtype="<f8")
-        if widths.shape != (config.n_channels, config.n_taps):
-            raise FileFormatError(
-                f"calibration block must be ({config.n_channels}, {config.n_taps}), "
-                f"got {widths.shape}"
-            )
-        cal_offset = HEADER_SIZE + w.size * WORD_SIZE
-        _check_widths(widths.ravel(), cal_offset)
+    w = np.ascontiguousarray(np.asarray(words, dtype="<u8"))
+    widths = np.asarray(tap_widths, dtype="<f8")
+    if widths.shape != (config.n_channels, config.n_taps):
+        raise FileFormatError(
+            f"calibration block must be ({config.n_channels}, {config.n_taps}), "
+            f"got {widths.shape}"
+        )
+    cal_offset = HEADER_SIZE + w.size * WORD_SIZE
+    _check_words(w, config.n_channels, config.n_taps)
+    _check_widths(widths.ravel(), cal_offset)
     header = _HEADER.pack(
         TIMETAG_MAGIC,
         TIMETAG_VERSION,
@@ -259,12 +248,11 @@ def write_timetag_file(
         fh.write(header)
         fh.write(b"\x00" * (HEADER_SIZE - len(header)))
         fh.write(w.tobytes())
-        if tap_widths is not None:
-            fh.write(widths.tobytes())
+        fh.write(widths.tobytes())
 
 
-def read_timetag_file(path) -> tuple[TimeTagHeader, np.ndarray, np.ndarray | None]:
-    """Read back (header, words, tap widths or None), verifying structure."""
+def read_timetag_file(path) -> tuple[TimeTagHeader, np.ndarray, np.ndarray]:
+    """Read back (header, words, (n_channels, n_taps) widths), verifying structure."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < HEADER_SIZE:
@@ -292,29 +280,20 @@ def read_timetag_file(path) -> tuple[TimeTagHeader, np.ndarray, np.ndarray | Non
             f"({body_end} bytes), file has {len(raw)}",
             offset=len(raw),
         )
-    words = np.frombuffer(raw, dtype="<u8", count=n_records, offset=HEADER_SIZE)
-    bad = np.flatnonzero(words >> np.uint64(_RESERVED_SHIFT))
-    if bad.size:
+    if cal_offset != body_end:  # the header field sits at byte 20
         raise FileFormatError(
-            f"record {bad[0]} has nonzero reserved bits",
-            offset=HEADER_SIZE + WORD_SIZE * int(bad[0]),
+            f"calibration offset {cal_offset} is not the end of the body, {body_end}",
+            offset=20,
         )
-    widths = None
-    if cal_offset:
-        if cal_offset != body_end:
-            raise FileFormatError(
-                f"calibration offset {cal_offset} does not follow the body",
-                offset=cal_offset,
-            )
-        need = n_channels * n_taps
-        if len(raw) < cal_offset + need * 8:
-            raise FileFormatError(
-                f"truncated calibration block: need {need * 8} bytes",
-                offset=len(raw),
-            )
-        widths = np.frombuffer(raw, dtype="<f8", count=need, offset=cal_offset)
-        _check_widths(widths, cal_offset)
-        widths = widths.reshape(n_channels, n_taps)
+    need = n_channels * n_taps
+    if len(raw) < body_end + need * 8:
+        raise FileFormatError(
+            f"truncated calibration block: need {need * 8} bytes", offset=len(raw)
+        )
+    words = np.frombuffer(raw, dtype="<u8", count=n_records, offset=HEADER_SIZE)
+    _check_words(words, n_channels, n_taps)
+    widths = np.frombuffer(raw, dtype="<f8", count=need, offset=body_end)
+    _check_widths(widths, body_end)
     header = TimeTagHeader(
         clock_period=clock_period,
         n_taps=n_taps,
@@ -322,7 +301,33 @@ def read_timetag_file(path) -> tuple[TimeTagHeader, np.ndarray, np.ndarray | Non
         n_records=n_records,
         calibration_offset=cal_offset,
     )
-    return header, words, widths
+    return header, words, widths.reshape(n_channels, n_taps)
+
+
+def _check_words(words: np.ndarray, n_channels: int, n_taps: int) -> None:
+    """FileFormatError at the first word that a file of ``n_channels``
+    channels and ``n_taps`` taps cannot hold: one with nonzero reserved
+    bits, a channel past the header or a fine code above ``n_taps``."""
+    if not words.size:
+        return
+    # with the rollover bit cleared, a word reaches n_channels << 49
+    # exactly when its channel is past the header or a reserved bit is set
+    top = (words & ~np.uint64(1 << _ROLLOVER_SHIFT)).max()
+    if top < n_channels << _CHANNEL_SHIFT and (words & _FINE_MASK).max() <= n_taps:
+        return
+    reserved = words >> np.uint64(_RESERVED_SHIFT) != 0
+    channel = (words >> np.uint64(_CHANNEL_SHIFT)) & np.uint64(_CHANNEL_MASK)
+    fine = words & np.uint64(_FINE_MASK)
+    i = int(np.argmax(reserved | (channel >= n_channels) | (fine > n_taps)))
+    if reserved[i]:
+        fault = "has nonzero reserved bits"
+    elif channel[i] >= n_channels:
+        fault = f"names channel {channel[i]}, past the header's {n_channels} channels"
+    else:
+        fault = f"holds fine code {fine[i]}, above the header's {n_taps} taps"
+    raise FileFormatError(
+        f"record {i} ({int(words[i]):#018x}) {fault}", offset=HEADER_SIZE + WORD_SIZE * i
+    )
 
 
 def _check_widths(widths: np.ndarray, offset: int) -> None:

@@ -18,7 +18,7 @@ import numpy as np
 from . import calibration as cal
 from . import readout
 from .config import ExperimentConfig, RunManifest, TOOL_VERSION, file_digest
-from .errors import ConfigError, FileFormatError, StationError
+from .errors import ConfigError, FileFormatError
 from .qkd import (
     DET_SYNC,
     ORIGIN_BACKGROUND,
@@ -191,21 +191,6 @@ def analyze_files(
         n_channels=header.n_channels,
     )
     channel, coarse, fine, roll = readout.unpack_words(words)
-    if width_block is None:
-        raise StationError(
-            "time-tag file carries no calibration block; cannot reconstruct"
-        )
-    if channel.size and int(channel.max()) >= header.n_channels:
-        raise FileFormatError(
-            f"record names channel {int(channel.max())} but the header "
-            f"declares only {header.n_channels} channels"
-        )
-    if fine.size and int(fine.max()) > header.n_taps:
-        raise FileFormatError(
-            f"record holds fine code {int(fine.max())} but the header "
-            f"declares only {header.n_taps} taps"
-        )
-
     sync_times = np.empty(0)
     data_times, data_dets = [np.empty(0)], [np.empty(0, dtype=np.uint8)]
     for c in np.flatnonzero(np.bincount(channel)):
@@ -301,8 +286,10 @@ def run_session(
     cfg: ExperimentConfig, out_dir, config_digest: str = ""
 ) -> SessionArtifacts:
     """Execute the full pipeline and write all artifacts into ``out_dir``."""
-    if cfg.tdc.n_channels <= SYNC_CHANNEL:  # the sync detector is on channel 4
-        raise ConfigError(f"run needs [tdc] n_channels of at least {SYNC_CHANNEL + 1}")
+    if cfg.tdc.n_channels <= SYNC_CHANNEL or not cfg.channel_enabled(SYNC_CHANNEL):
+        raise ConfigError(
+            f"run needs channel {SYNC_CHANNEL} in [tdc] n_channels and [tdc] enabled"
+        )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     timetag_path = out / "session.qtt"

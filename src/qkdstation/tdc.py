@@ -302,7 +302,7 @@ def digitize_stream(
     profile: DelayLineProfile,
     state: ChannelState,
     config: TdcConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> RecordBatch:
     """Digitize one channel's sorted hit stream, honoring the channel
     enable and the non-paralyzable dead time.
@@ -331,7 +331,7 @@ def digitize_stream(
     edge = np.ceil(kept / config.clock_period).astype(np.int64)
     delta = edge * config.clock_period - kept
     x = delta
-    if rng is not None and profile.tap_jitter_sigma > 0:
+    if profile.tap_jitter_sigma > 0:
         x = delta - rng.normal(0.0, profile.tap_jitter_sigma, kept.size)
     return RecordBatch(
         coarse=edge & (config.coarse_modulus - 1),

@@ -11,12 +11,12 @@ import time
 import numpy as np
 import pytest
 from shipped_config import load_reference
+from uniform_widths import uniform_widths
 
 from qkdstation.calibration import (
     calibrate_from_stimulus,
     decorrelation_cable_delay,
     precision_test,
-    table_from_profile,
 )
 from qkdstation.cli import main
 from qkdstation.qkd import ClockModel, emit_sync, gen_random_code, simulate_link
@@ -81,7 +81,7 @@ def test_a03_dead_time_exact():
         # exponential arrivals with mean near the dead time stress the gate
         times = np.cumsum(rng.exponential(45_000.0, 62_500))
         profile = build_delay_line(cfg, channel=c)
-        batch = digitize_stream(times, profile, ChannelState(), cfg)
+        batch = digitize_stream(times, profile, ChannelState(), cfg, rng)
         accepted = times[batch.accepted_index]
         gaps = np.diff(accepted)
         violations += int(np.sum(gaps < cfg.dead_time))
@@ -134,7 +134,8 @@ def test_a05_throughput_caps():
     span = 0.05e12
     n = int(span / period)
     times = np.arange(n) * period
-    batch = digitize_stream(times, build_delay_line(cfg), ChannelState(), cfg)
+    line = build_delay_line(cfg)  # jitter-free: it draws nothing from the rng
+    batch = digitize_stream(times, line, ChannelState(), cfg, np.random.default_rng(0))
     rate = batch.n / 0.05
     assert rate == pytest.approx(30e6, rel=0.005)
     report(
@@ -159,11 +160,12 @@ def test_a06_pack_roundtrip_million(tmp_path):
     )
     assert failures == 0
 
-    cfg = TdcConfig(n_channels=32)
+    # a board that holds every field value: 32 channels, fine codes to 511
+    cfg = TdcConfig(n_channels=32, n_taps=511)
     p1, p2 = tmp_path / "w1.qtt", tmp_path / "w2.qtt"
-    write_timetag_file(p1, cfg, words)
-    _, back, _ = read_timetag_file(p1)
-    write_timetag_file(p2, cfg, back)
+    write_timetag_file(p1, cfg, words, uniform_widths(cfg))
+    _, back, widths = read_timetag_file(p1)
+    write_timetag_file(p2, cfg, back, widths)
     assert p1.read_bytes() == p2.read_bytes()
     report("6 roundtrip", f"{n} words field-exact and byte-identical on disk")
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from qkdstation.calibration import (
     code_density_calibrate,
     decorrelation_cable_delay,
     precision_test,
-    table_from_profile,
     table_from_widths,
     uniform_phase_histogram,
     write_calibration_csv,
@@ -93,7 +93,7 @@ class TestCodeDensity:
     def test_centers_convention(self):
         cfg = small_config()
         p = build_delay_line(cfg)
-        table = table_from_profile(p, cfg)
+        table = table_from_widths(p.channel, p.tap_delays, cfg)
         # code 0 reads as the clock edge; code 1 as the midpoint of [25, 50)
         np.testing.assert_allclose(table.bin_centers, [0.0, 37.5, 62.5, 87.5, 100.0])
 
@@ -122,11 +122,11 @@ class TestDnlRecovery:
         cfg = TdcConfig()
         p = build_delay_line(cfg, "random:-0.4:0.4", seed=13)
         measured = calibrate_from_stimulus(p, cfg, 1_000_000, np.random.default_rng(5))
-        truth = table_from_profile(p, cfg)
+        truth = table_from_widths(p.channel, p.tap_delays, cfg)
         rng = np.random.default_rng(11)
         gaps = cfg.dead_time + rng.random(20_000) * 1e5
         times = np.cumsum(gaps)
-        batch = digitize_stream(times, p, ChannelState(), cfg)
+        batch = digitize_stream(times, p, ChannelState(), cfg, rng)
         ts_m = reconstruct_stream(batch.coarse, batch.fine, measured, cfg)
         ts_t = reconstruct_stream(batch.coarse, batch.fine, truth, cfg)
         rms = float(np.sqrt(np.mean((ts_m - ts_t) ** 2)))
@@ -189,7 +189,7 @@ class TestTableIO:
     def test_csv_roundtrip(self, tmp_path):
         cfg = TdcConfig()
         p = build_delay_line(cfg, "sine:0.3:4")
-        table = table_from_profile(p, cfg)
+        table = table_from_widths(p.channel, p.tap_delays, cfg)
         path = tmp_path / "cal.csv"
         write_calibration_csv(table, path)
         rows = read_calibration_csv(path)
@@ -202,7 +202,7 @@ class TestTableIO:
     def test_rebuild_from_stored_widths(self):
         cfg = TdcConfig()
         p = build_delay_line(cfg, "random:-0.3:0.3", seed=8)
-        full = table_from_profile(p, cfg)
+        full = table_from_widths(p.channel, p.tap_delays, cfg)
         rebuilt = table_from_widths(0, full.bin_widths[: cfg.n_taps], cfg)
         np.testing.assert_allclose(rebuilt.bin_centers, full.bin_centers)
         assert rebuilt.lsb == full.lsb
@@ -304,7 +304,9 @@ def test_grid_lookup_exact_on_and_beside_every_boundary(name):
     assert (delta == b[:, None]).any(axis=1).sum() >= b.size // 2
     order = np.argsort(t, axis=None)
     t, delta = t.ravel()[order], delta.ravel()[order]
-    batch = digitize_stream(t, profile, ChannelState(), cfg)
+    # the comb itself: a jitter-free copy of the line draws nothing
+    still = replace(profile, tap_jitter_sigma=0.0)
+    batch = digitize_stream(t, still, ChannelState(), cfg, np.random.default_rng(0))
     assert batch.fine.size == t.size and np.all(batch.coarse == 1)
     # "past exactly those cells whose boundary is <= delta", by definition
     passed = (profile.boundaries[None, :] <= delta[:, None]).sum(axis=1)

@@ -24,7 +24,7 @@ from qkdstation.config import (
     load_config,
     reference_config_text,
 )
-from qkdstation.errors import CalibrationError, ConfigError
+from qkdstation.errors import CalibrationError, ConfigError, SyncRecoveryError
 from qkdstation.qkd import (
     _SIDECAR_FIXED,
     ClockModel,
@@ -717,7 +717,7 @@ class TestCliRunAnalyze:
         args = ["analyze", str(path), str(small_run / "alice.qac")]
         assert main(args + ["--output", str(tmp_path / "a")]) == code
 
-    def test_fine_code_out_of_range_exit_2(self, small_config, tmp_path):
+    def test_fine_code_out_of_range_exit_2(self, small_config, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["run", "--config", str(small_config), "--output", str(out)]) == 0
         raw = bytearray((out / "session.qtt").read_bytes())
@@ -727,7 +727,40 @@ class TestCliRunAnalyze:
         raw[at : at + 8] = word.to_bytes(8, "little")
         bad = tmp_path / "bad.qtt"
         bad.write_bytes(bytes(raw))
+        capsys.readouterr()
         assert main(["analyze", str(bad), str(out / "alice.qac")]) == 2
+        err = capsys.readouterr().err
+        assert "fine code 500" in err and "(byte offset 144)" in err
+
+    def test_channel_beyond_header_exit_2(self, small_run, tmp_path, capsys):
+        # the header declares 5 channels; record 10 is moved to channel 7
+        raw = bytearray((small_run / "session.qtt").read_bytes())
+        at = HEADER_SIZE + 8 * 10
+        word = int.from_bytes(raw[at : at + 8], "little")
+        word = (word & ~(31 << 49)) | 7 << 49
+        raw[at : at + 8] = word.to_bytes(8, "little")
+        bad = tmp_path / "bad.qtt"
+        bad.write_bytes(bytes(raw))
+        capsys.readouterr()
+        args = ["analyze", str(bad), str(small_run / "alice.qac")]
+        assert main(args + ["--output", str(tmp_path / "a")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "channel 7" in err
+        assert f"(byte offset {at})" in err
+        assert not (tmp_path / "a").exists()
+
+    def test_zeroed_calibration_offset_exit_2(self, small_run, tmp_path, capsys):
+        # bytes 20..28 of the header hold the calibration block's offset
+        raw = bytearray((small_run / "session.qtt").read_bytes())
+        raw[20:28] = bytes(8)
+        bad = tmp_path / "bad.qtt"
+        bad.write_bytes(bytes(raw))
+        capsys.readouterr()
+        args = ["analyze", str(bad), str(small_run / "alice.qac")]
+        assert main(args + ["--output", str(tmp_path / "a")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "(byte offset 20)" in err
+        assert not (tmp_path / "a").exists()
 
     def test_negative_offset_session(self, small_config, tmp_path):
         # receiver clock ahead of the sender: early detections land before
@@ -778,19 +811,30 @@ class TestCliRunAnalyze:
         assert err.startswith("analysis failed: ") and "DLASCL" not in err
         assert not (tmp_path / "a").exists()
 
-    @pytest.mark.parametrize("n_channels", [1, 2, 4])
-    def test_board_without_sync_channel_exit_2(self, tmp_path, capsys, n_channels):
-        # the sync detector is wired to channel 4: a board of n_channels <= 4
-        # is a config error, refused before the run makes any output
+    @pytest.mark.parametrize(
+        "edits",
+        [
+            *(
+                pytest.param({"n_channels": n, "jitter_sigma_ps": 13.0}, id=str(n))
+                for n in (1, 2, 4)
+            ),
+            pytest.param({"enabled": "0, 1, 2, 3"}, id="enabled"),
+        ],
+    )
+    def test_board_without_sync_channel_exit_2(self, tmp_path, capsys, edits):
+        # the sync detector is wired to channel 4: a board of n_channels <= 4,
+        # or one with channel 4 disabled, is a config error, refused before
+        # the run makes any output
         text = reference_config_text()
-        for key, value in (("n_channels", n_channels), ("jitter_sigma_ps", 13.0)):
+        for key, value in edits.items():
             text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, count=1, flags=re.M)
         path = tmp_path / "few.ini"
         path.write_text(text)
         out = tmp_path / "out"
         assert main(["run", "--config", str(path), "--output", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "[tdc] n_channels" in err
+        assert err.startswith("error: ")
+        assert "[tdc] n_channels" in err and "[tdc] enabled" in err
         assert not out.exists()
         with pytest.raises(ConfigError, match=r"\[tdc\] n_channels"):
             session.run_session(load_config(path), out)
@@ -806,10 +850,14 @@ class TestCliRunAnalyze:
             args = ["analyze", str(short), str(small_run / "alice.qac")]
             code, said = 2, "truncated body"
         elif command == "run":
-            # the sync detector's channel 4 is off: the run writes its
-            # artifacts, then finds no clock in them
-            path = tmp_path / "no_sync.ini"
-            path.write_text(SMALL_CONFIG.replace("[tdc]\n", "[tdc]\nenabled = 0, 1, 2, 3\n"))
+            # the run writes its artifacts, then finds no clock in them
+
+            def lost(*args):
+                raise SyncRecoveryError("need at least 2 sync detections")
+
+            monkeypatch.setattr(session, "recover_clock", lost)
+            path = tmp_path / "small.ini"
+            path.write_text(SMALL_CONFIG)
             args = ["run", "--config", str(path)]
             code, said = 1, "need at least 2 sync detections"
         else:

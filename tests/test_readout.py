@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scalar_oracle import TdcRecord, pack, reference_stream, unpack
 from shipped_config import load_reference
+from uniform_widths import uniform_widths
 
 from qkdstation.errors import ConfigError, FileFormatError, PackError
 from qkdstation.qkd import gen_random_code
@@ -85,12 +86,6 @@ class TestPackUnpack:
         with pytest.raises(PackError):
             pack(TdcRecord(0, -1, 0))
 
-    def test_reserved_bits_rejected_on_unpack(self):
-        with pytest.raises(PackError, match="reserved"):
-            unpack(1 << 55)
-        with pytest.raises(PackError, match="reserved"):
-            unpack_words(np.array([1 << 63], dtype=np.uint64))
-
     def test_scalar_roundtrip(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
@@ -122,13 +117,13 @@ class TestPackUnpack:
         ch = rng.integers(0, 32, 100)
         co = rng.integers(0, 2**40, 100)
         fi = rng.integers(0, 512, 100)
-        words = pack_words(ch, co, fi)
+        words = pack_words(ch, co, fi, np.zeros(100, int))
         for i in range(100):
             assert int(words[i]) == pack(TdcRecord(int(ch[i]), int(co[i]), int(fi[i])))
 
     def test_vector_overflow_rejected(self):
         with pytest.raises(PackError):
-            pack_words(np.array([0]), np.array([0]), np.array([512]))
+            pack_words(np.array([0]), np.array([0]), np.array([512]), np.array([0]))
 
 
 class TestStream:
@@ -252,7 +247,7 @@ def test_stream_refuses_a_rate_that_is_not_a_positive_whole_number(rate):
 def _gated_batch(times, cfg, channel=0):
     """Hits the pipeline's dead-time gate passes on one digitized channel."""
     profile = build_delay_line(cfg, channel=channel)
-    return digitize_stream(times, profile, ChannelState(), cfg)
+    return digitize_stream(times, profile, ChannelState(), cfg, np.random.default_rng(0))
 
 
 class TestCounter:
@@ -293,17 +288,42 @@ class TestCounter:
             TdcConfig(dead_time=-1.0)
 
 
+def records(n_channels, n_taps):
+    """Words of records on channels below ``n_channels`` with fine codes
+    up to ``n_taps``, either rollover parity."""
+    record = st.builds(
+        TdcRecord,
+        channel=st.integers(0, n_channels - 1),
+        coarse=st.integers(0, 2**40 - 1),
+        fine=st.integers(0, n_taps),
+    )
+    return st.builds(pack, record, st.booleans())
+
+
+def _word_fault(word, cfg):
+    """What a file under ``cfg`` cannot hold in ``word``, by the scalar route."""
+    try:
+        record, _ = unpack(word)
+    except PackError:
+        return "nonzero reserved bits"
+    if record.channel >= cfg.n_channels:
+        return f"names channel {record.channel}"
+    if record.fine > cfg.n_taps:
+        return f"holds fine code {record.fine}"
+    return None
+
+
 @st.composite
 def timetag_contents(draw):
-    """A board config, valid words and an optional width block."""
+    """A board config, words it can hold and a width block."""
     cfg = TdcConfig(
         clock_period=draw(st.floats(1.0, 1e9, allow_nan=False)),
         n_taps=draw(st.integers(2, (1 << FINE_BITS) - 1)),
         n_channels=draw(st.integers(1, 1 << CHANNEL_BITS)),
     )
-    # any word with its reserved bits [55..64) clear is a valid record
-    words = draw(arrays(np.uint64, st.integers(0, 300), elements=st.integers(0, 2**55 - 1)))
-    widths = draw(st.none() | arrays(
+    elements = records(cfg.n_channels, cfg.n_taps)
+    words = draw(arrays(np.uint64, st.integers(0, 300), elements=elements))
+    widths = draw(arrays(
         np.float64,
         (cfg.n_channels, cfg.n_taps),
         elements=st.just(-0.0) | st.floats(0.0, 1e300, allow_infinity=False),
@@ -329,11 +349,8 @@ class TestTimeTagFile:
         )
         assert header.n_records == words.size
         assert back.dtype == np.dtype("<u8") and back.tobytes() == words.tobytes()
-        if widths is None:
-            assert back_widths is None and header.calibration_offset == 0
-        else:
-            assert header.calibration_offset == 64 + 8 * words.size
-            assert back_widths.tobytes() == widths.tobytes()
+        assert header.calibration_offset == 64 + 8 * words.size
+        assert back_widths.tobytes() == widths.tobytes()
 
     @settings(
         max_examples=100,
@@ -345,26 +362,54 @@ class TestTimeTagFile:
         widths=st.tuples(st.integers(1, 3), st.integers(2, 6)).flatmap(
             lambda s: arrays(np.float64, s, elements=st.floats() | st.floats(0.0, 100.0))
         ),
+        # any 64-bit word: channels up to 3 and fine codes up to 7 against
+        # a header of 1..3 channels and 2..6 taps, some reserved bits set
+        words=arrays(
+            np.uint64,
+            st.integers(0, 4),
+            elements=st.integers(0, 2**64 - 1)
+            | records(4, 7)
+            | st.tuples(records(4, 7), st.integers(1, 511)).map(lambda f: f[0] | f[1] << 55),
+        ),
     )
-    def test_writer_refuses_what_reader_refuses(self, tmp_path, widths):
+    # on each edge of the word check: channel 2 of 2, fine code 5 of 4
+    # taps, and a word the header can hold with every field at its top
+    @example(widths=np.full((2, 4), 10.0), words=np.array([2 << 49], dtype=np.uint64))
+    @example(widths=np.full((2, 4), 10.0), words=np.array([0, 5], dtype=np.uint64))
+    @example(
+        widths=np.full((2, 4), 10.0),
+        words=np.array([pack(TdcRecord(1, 2**40 - 1, 4), True)], dtype=np.uint64),
+    )
+    def test_writer_refuses_what_reader_refuses(self, tmp_path, widths, words):
         cfg = TdcConfig(n_taps=widths.shape[1], n_channels=widths.shape[0])
-        words = np.arange(3, dtype=np.uint64)
-        # the reader's verdict on a file holding these widths, patched in
+        # the reader's verdict on a file holding these words and widths,
+        # patched over a valid file of the same size
         valid = tmp_path / "valid.qtt"
-        write_timetag_file(valid, cfg, words, np.zeros(widths.shape))
-        raw = valid.read_bytes()[:-widths.size * 8] + widths.astype("<f8").tobytes()
+        valid.unlink(missing_ok=True)  # tmp_path outlives one example
+        zeros = np.zeros(words.size, dtype=np.uint64)
+        write_timetag_file(valid, cfg, zeros, np.zeros(widths.shape))
+        raw = valid.read_bytes()[:64] + words.tobytes() + widths.astype("<f8").tobytes()
         patched = tmp_path / "patched.qtt"
         patched.write_bytes(raw)
         try:
             read_timetag_file(patched)
-            refused = False
-        except FileFormatError:
-            refused = True
+            refusal = None
+        except FileFormatError as err:
+            refusal = str(err)
+        # the first word the scalar route faults is the one refused
+        faults = [_word_fault(int(w), cfg) for w in words]
+        first = next((i for i, fault in enumerate(faults) if fault), None)
+        if first is None:
+            assert refusal is None or refusal.startswith("calibration width")
+        else:
+            assert refusal is not None and faults[first] in refusal
+            assert refusal.endswith(f"(byte offset {64 + 8 * first})")
         path = tmp_path / "prop.qtt"
-        path.unlink(missing_ok=True)  # tmp_path outlives one example
-        if refused:
-            with pytest.raises(FileFormatError, match="calibration width"):
+        path.unlink(missing_ok=True)
+        if refusal is not None:
+            with pytest.raises(FileFormatError) as err:
                 write_timetag_file(path, cfg, words, widths)
+            assert str(err.value) == refusal
             assert not path.exists()
         else:
             write_timetag_file(path, cfg, words, widths)
@@ -373,24 +418,28 @@ class TestTimeTagFile:
     def test_empty_roundtrip(self, tmp_path):
         cfg = TdcConfig()
         path = tmp_path / "empty.qtt"
-        write_timetag_file(path, cfg, np.empty(0, dtype=np.uint64))
-        assert path.stat().st_size == 64
+        write_timetag_file(path, cfg, np.empty(0, dtype=np.uint64), uniform_widths(cfg))
+        assert path.stat().st_size == 64 + 8 * cfg.n_channels * cfg.n_taps
         header, words, widths = read_timetag_file(path)
-        assert header.n_records == 0 and words.size == 0 and widths is None
+        assert header.n_records == 0 and words.size == 0
+        np.testing.assert_array_equal(widths, uniform_widths(cfg))
         assert header.clock_period == cfg.clock_period
 
     def test_word_roundtrip_byte_identical(self, tmp_path):
         rng = np.random.default_rng(5)
         n = 100_000
         words = pack_words(
-            rng.integers(0, 16, n), rng.integers(0, 2**40, n), rng.integers(0, 512, n)
+            rng.integers(0, 16, n),
+            rng.integers(0, 2**40, n),
+            rng.integers(0, 512, n),
+            np.zeros(n, int),
         )
-        cfg = TdcConfig()
+        cfg = TdcConfig(n_taps=511)  # a header that holds every fine code
         p1, p2 = tmp_path / "a.qtt", tmp_path / "b.qtt"
-        write_timetag_file(p1, cfg, words)
-        header, back, _ = read_timetag_file(p1)
+        write_timetag_file(p1, cfg, words, uniform_widths(cfg))
+        header, back, widths = read_timetag_file(p1)
         assert np.array_equal(words, back)
-        write_timetag_file(p2, cfg, back)
+        write_timetag_file(p2, cfg, back, widths)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_calibration_block_roundtrip(self, tmp_path):
@@ -405,7 +454,7 @@ class TestTimeTagFile:
     def test_corrupt_magic_names_offset_zero(self, tmp_path):
         cfg = TdcConfig()
         path = tmp_path / "bad.qtt"
-        write_timetag_file(path, cfg, np.empty(0, dtype=np.uint64))
+        write_timetag_file(path, cfg, np.empty(0, dtype=np.uint64), uniform_widths(cfg))
         raw = bytearray(path.read_bytes())
         raw[0] = ord("X")
         path.write_bytes(bytes(raw))
@@ -416,7 +465,7 @@ class TestTimeTagFile:
     def test_version_mismatch(self, tmp_path):
         cfg = TdcConfig()
         path = tmp_path / "v.qtt"
-        write_timetag_file(path, cfg, np.empty(0, dtype=np.uint64))
+        write_timetag_file(path, cfg, np.empty(0, dtype=np.uint64), uniform_widths(cfg))
         raw = bytearray(path.read_bytes())
         raw[4] = 99
         path.write_bytes(bytes(raw))
@@ -427,27 +476,42 @@ class TestTimeTagFile:
     def test_truncated_body_names_offset(self, tmp_path):
         cfg = TdcConfig()
         path = tmp_path / "t.qtt"
-        words = pack_words(np.zeros(10, int), np.arange(10), np.zeros(10, int))
-        write_timetag_file(path, cfg, words)
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-12])
-        with pytest.raises(FileFormatError, match="truncated") as err:
+        zeros = np.zeros(10, int)
+        words = pack_words(zeros, np.arange(10), zeros, zeros)
+        write_timetag_file(path, cfg, words, uniform_widths(cfg))
+        cut = 64 + 8 * words.size - 12  # inside the last word
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(FileFormatError, match="truncated body") as err:
             read_timetag_file(path)
-        assert err.value.offset == len(raw) - 12
+        assert err.value.offset == cut
+
+    @pytest.mark.parametrize("offset", [0, 64 + 8 * 3 + 8], ids=["zero", "past_the_body"])
+    def test_calibration_offset_must_end_the_body(self, tmp_path, offset):
+        cfg = TdcConfig()
+        path = tmp_path / "off.qtt"
+        write_timetag_file(path, cfg, np.arange(3, dtype=np.uint64), uniform_widths(cfg))
+        raw = bytearray(path.read_bytes())
+        raw[20:28] = offset.to_bytes(8, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FileFormatError, match="calibration offset") as err:
+            read_timetag_file(path)
+        assert err.value.offset == 20
 
     def test_file_is_little_endian_on_disk(self, tmp_path):
         cfg = TdcConfig()
         path = tmp_path / "le.qtt"
-        words = np.array([0x0002030405060708], dtype=np.uint64)
-        write_timetag_file(path, cfg, words)
+        words = np.array([0x0002030405060807], dtype=np.uint64)  # channel 1, fine 7
+        write_timetag_file(path, cfg, words, uniform_widths(cfg))
         raw = path.read_bytes()
-        assert raw[64:72] == bytes([8, 7, 6, 5, 4, 3, 2, 0])
+        assert raw[64:72] == bytes([7, 8, 6, 5, 4, 3, 2, 0])
 
     def test_writer_refuses_reserved_bits(self, tmp_path):
         path = tmp_path / "reserved.qtt"
         words = np.array([1, 2, 1 << 55, 1 << 63], dtype=np.uint64)
-        with pytest.raises(PackError, match=r"word 2 \(0x0080000000000000\)"):
-            write_timetag_file(path, TdcConfig(), words)
+        cfg = TdcConfig()
+        with pytest.raises(FileFormatError, match=r"record 2 \(0x0080000000000000\)") as err:
+            write_timetag_file(path, cfg, words, uniform_widths(cfg))
+        assert err.value.offset == 80 and "reserved bits" in str(err.value)
         assert not path.exists()
 
 

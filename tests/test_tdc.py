@@ -14,8 +14,9 @@ from scalar_oracle import (
     sample_thermometer,
 )
 from shipped_config import load_reference
+from uniform_widths import uniform_widths
 
-from qkdstation.calibration import table_from_profile
+from qkdstation.calibration import table_from_widths
 from qkdstation.errors import CalibrationError, ConfigError
 from qkdstation.qkd import DetectionSet
 from qkdstation.readout import pack_words, read_timetag_file, stream, write_timetag_file
@@ -233,7 +234,7 @@ def test_ties_across_channels_reach_the_file_in_channel_order(tmp_path):
     np.testing.assert_array_equal(delivered, want)
     words = pack_words(ch, co, fi, ro)
     path = tmp_path / "ties.qtt"
-    write_timetag_file(path, cfg.tdc, words[delivered])
+    write_timetag_file(path, cfg.tdc, words[delivered], uniform_widths(cfg.tdc))
     np.testing.assert_array_equal(read_timetag_file(path)[1], words[want])
 
 
@@ -257,13 +258,13 @@ class TestReconstruct:
     def test_on_edge_convention(self):
         cfg = TdcConfig()
         p = build_delay_line(cfg)
-        cal = table_from_profile(p, cfg)
+        cal = table_from_widths(p.channel, p.tap_delays, cfg)
         assert reconstruct(TdcRecord(0, 2, 0), cal, cfg) == pytest.approx(12_500.0)
 
     def test_first_bin_center(self):
         cfg = small_config()
         p = build_delay_line(cfg)
-        cal = table_from_profile(p, cfg)
+        cal = table_from_widths(p.channel, p.tap_delays, cfg)
         # fine=1 covers [25, 50); midpoint 37.5
         got = reconstruct(TdcRecord(0, 125, 1), cal, cfg)
         assert got == pytest.approx(125 * 100.0 - 37.5)
@@ -271,7 +272,7 @@ class TestReconstruct:
     def test_missing_calibration(self):
         cfg = TdcConfig()
         p = build_delay_line(cfg, channel=3)
-        cal = table_from_profile(p, cfg)
+        cal = table_from_widths(p.channel, p.tap_delays, cfg)
         with pytest.raises(CalibrationError, match="code_density_calibrate"):
             reconstruct(TdcRecord(0, 2, 0), cal, cfg)
         with pytest.raises(CalibrationError):
@@ -281,7 +282,7 @@ class TestReconstruct:
         # oracle: direct arithmetic on the known tap geometry
         cfg = TdcConfig()
         p = build_delay_line(cfg, "random:-0.5:0.5", seed=9)
-        cal = table_from_profile(p, cfg)
+        cal = table_from_widths(p.channel, p.tap_delays, cfg)
         rng = np.random.default_rng(17)
         times = np.sort(rng.random(10_000) * 1e9)
         times = times[np.concatenate(([True], np.diff(times) >= cfg.dead_time))]
@@ -308,11 +309,11 @@ class TestReconstruct:
     def test_vectorized_roundtrip_bound(self):
         cfg = TdcConfig()
         p = build_delay_line(cfg, "random:-0.5:0.5", seed=21)
-        cal = table_from_profile(p, cfg)
+        cal = table_from_widths(p.channel, p.tap_delays, cfg)
         rng = np.random.default_rng(23)
         gaps = cfg.dead_time + rng.random(10_000) * 1e6
         times = np.cumsum(gaps)
-        batch = digitize_stream(times, p, ChannelState(), cfg)
+        batch = digitize_stream(times, p, ChannelState(), cfg, rng)
         assert batch.n == times.size
         ts = reconstruct_stream(batch.coarse, batch.fine, cal, cfg)
         assert np.max(np.abs(ts - times)) < p.tap_delays.max()
@@ -324,7 +325,7 @@ class TestDualRoute:
         p = build_delay_line(cfg, "random:-0.3:0.3", seed=2)
         rng = np.random.default_rng(4)
         times = np.sort(rng.random(2000) * 1e8)
-        batch = digitize_stream(times, p, ChannelState(), cfg)
+        batch = digitize_stream(times, p, ChannelState(), cfg, rng)
         state = ChannelState()
         scalar = [digitize(RawHit(0, float(t)), p, state, cfg) for t in times]
         keep = [r for r in scalar if r is not None]
