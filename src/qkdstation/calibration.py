@@ -72,14 +72,8 @@ class PrecisionReport:
 def _table_from_widths(
     channel: int, widths: np.ndarray, clock_period: float
 ) -> CalibrationTable:
+    """``widths`` are nonnegative and sum to ``clock_period``."""
     occupied = np.flatnonzero(widths > 0)
-    if occupied.size == 0:
-        raise CalibrationError("no occupied fine codes")
-    if abs(widths.sum() - clock_period) > 1e-6 * clock_period:
-        raise CalibrationError(
-            f"bin widths sum to {widths.sum():.6f} ps, not the "
-            f"{clock_period} ps clock period; table is inconsistent"
-        )
     lsb = clock_period / occupied.size
     dnl = widths[occupied] / lsb - 1.0
     inl = np.concatenate(([0.0], np.cumsum(dnl)))
@@ -141,8 +135,9 @@ def code_density_calibrate(
 def table_from_widths(
     channel: int, tap_widths: np.ndarray, config: TdcConfig
 ) -> CalibrationTable:
-    """Rebuild a table from n_taps nonnegative bin widths: a channel's row
-    of a time-tag file, or a delay line's own tap delays (the exact table)."""
+    """Rebuild a table from n_taps nonnegative bin widths that sum to the
+    clock period: a channel's row of a time-tag file, which its reader
+    checks, or a delay line's own tap delays (the exact table)."""
     widths = np.concatenate((tap_widths, [0.0]))
     return _table_from_widths(channel, widths, config.clock_period)
 

@@ -346,12 +346,13 @@ class SidecarMeta:
     windows: tuple[float, ...]
 
 
-def _check_sidecar_header(pulse_period, sync_period, offset_bound, f_ec) -> None:
+def _check_sidecar_header(pulse_period, sync_period, offset_bound, disclose_fraction, f_ec) -> None:
     """The header ranges that both the writer and the reader enforce."""
     for name, value, at, in_range in (
         ("pulse period", pulse_period, 8, pulse_period > 0),
         ("sync period", sync_period, 16, sync_period > 0),
-        ("offset bound", offset_bound, 24, offset_bound >= 0),
+        ("offset bound", offset_bound, 24, 0 <= 2 * offset_bound < sync_period),
+        ("disclose fraction", disclose_fraction, 32, 0 < disclose_fraction <= 1),
         ("f_ec", f_ec, 40, f_ec >= 1),
     ):
         if not (in_range and math.isfinite(value)):
@@ -369,7 +370,9 @@ def _check_sidecar_codes(codes: np.ndarray, at: int) -> None:
 
 
 def write_alice_sidecar(path, codes: np.ndarray, meta: SidecarMeta) -> None:
-    _check_sidecar_header(meta.pulse_period, meta.sync_period, meta.offset_bound, meta.f_ec)
+    _check_sidecar_header(
+        meta.pulse_period, meta.sync_period, meta.offset_bound, meta.disclose_fraction, meta.f_ec
+    )
     if codes.dtype != np.uint8:  # the body is the array's own bytes
         raise ConfigError(f"Alice's code must be a uint8 array, not {codes.dtype}")
     _check_sidecar_codes(codes, _SIDECAR_FIXED.size + 8 * len(meta.windows))
@@ -414,7 +417,7 @@ def read_alice_sidecar(path) -> tuple[np.ndarray, SidecarMeta]:
         raise FileFormatError(f"bad sidecar magic {magic!r}", offset=0)
     if version != SIDECAR_VERSION:
         raise FileFormatError(f"unsupported sidecar version {version}", offset=4)
-    _check_sidecar_header(pulse_period, sync_period, offset_bound, f_ec)
+    _check_sidecar_header(pulse_period, sync_period, offset_bound, disclose_fraction, f_ec)
     off = _SIDECAR_FIXED.size
     need = off + 8 * n_windows + n_pulses
     if len(raw) < need:

@@ -18,13 +18,12 @@ acts before a word is packed.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FileFormatError, PackError
+from .errors import ConfigError, FileFormatError, PackError
 from .tdc import CHANNEL_BITS, COARSE_BITS, FINE_BITS, TdcConfig
 
 _FINE_MASK = (1 << FINE_BITS) - 1
@@ -206,15 +205,6 @@ _HEADER = struct.Struct("<4sHHdHHQQ")
 HEADER_SIZE = 64
 
 
-@dataclass(frozen=True)
-class TimeTagHeader:
-    clock_period: float
-    n_taps: int
-    n_channels: int
-    n_records: int
-    calibration_offset: int
-
-
 def write_timetag_file(
     path, config: TdcConfig, words: np.ndarray, tap_widths: np.ndarray
 ) -> None:
@@ -233,7 +223,7 @@ def write_timetag_file(
         )
     cal_offset = HEADER_SIZE + w.size * WORD_SIZE
     _check_words(w, config.n_channels, config.n_taps)
-    _check_widths(widths.ravel(), cal_offset)
+    _check_widths(widths, config.clock_period, cal_offset)
     header = _HEADER.pack(
         TIMETAG_MAGIC,
         TIMETAG_VERSION,
@@ -251,8 +241,9 @@ def write_timetag_file(
         fh.write(widths.tobytes())
 
 
-def read_timetag_file(path) -> tuple[TimeTagHeader, np.ndarray, np.ndarray]:
-    """Read back (header, words, (n_channels, n_taps) widths), verifying structure."""
+def read_timetag_file(path) -> tuple[TdcConfig, np.ndarray, np.ndarray]:
+    """Read back (board, words, (n_channels, n_taps) widths), verifying structure.
+    The file holds no dead time, so the board keeps TdcConfig's default."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < HEADER_SIZE:
@@ -260,19 +251,19 @@ def read_timetag_file(path) -> tuple[TimeTagHeader, np.ndarray, np.ndarray]:
             f"file holds {len(raw)} bytes, shorter than the {HEADER_SIZE}-byte header",
             offset=len(raw),
         )
-    magic, version, flags, clock_period, n_taps, n_channels, cal_offset, n_records = (
-        _HEADER.unpack_from(raw, 0)
-    )
+    magic, version, flags, *fields, cal_offset, n_records = _HEADER.unpack_from(raw, 0)
     if magic != TIMETAG_MAGIC:
         raise FileFormatError(f"bad magic {magic!r}", offset=0)
     if version != TIMETAG_VERSION:
         raise FileFormatError(f"unsupported version {version}", offset=4)
     if not flags & FLAG_LITTLE_ENDIAN:
         raise FileFormatError("only little-endian files are defined", offset=6)
-    if not (math.isfinite(clock_period) and clock_period > 0):
-        raise FileFormatError(
-            f"clock period {clock_period} is not a finite positive number", offset=8
-        )
+    # TdcConfig's rules, one header field (clock period, taps, channels) at a time
+    for k, (name, at) in enumerate((("clock period", 8), ("n_taps", 16), ("n_channels", 18))):
+        try:
+            board = TdcConfig(*fields[: k + 1])
+        except ConfigError as err:
+            raise FileFormatError(f"header {name} {fields[k]}: {err}", offset=at) from None
     body_end = HEADER_SIZE + n_records * WORD_SIZE
     if len(raw) < body_end:
         raise FileFormatError(
@@ -285,23 +276,16 @@ def read_timetag_file(path) -> tuple[TimeTagHeader, np.ndarray, np.ndarray]:
             f"calibration offset {cal_offset} is not the end of the body, {body_end}",
             offset=20,
         )
-    need = n_channels * n_taps
+    need = board.n_channels * board.n_taps
     if len(raw) < body_end + need * 8:
         raise FileFormatError(
             f"truncated calibration block: need {need * 8} bytes", offset=len(raw)
         )
     words = np.frombuffer(raw, dtype="<u8", count=n_records, offset=HEADER_SIZE)
-    _check_words(words, n_channels, n_taps)
-    widths = np.frombuffer(raw, dtype="<f8", count=need, offset=body_end)
-    _check_widths(widths, body_end)
-    header = TimeTagHeader(
-        clock_period=clock_period,
-        n_taps=n_taps,
-        n_channels=n_channels,
-        n_records=n_records,
-        calibration_offset=cal_offset,
-    )
-    return header, words, widths.reshape(n_channels, n_taps)
+    _check_words(words, board.n_channels, board.n_taps)
+    widths = np.frombuffer(raw, "<f8", need, body_end).reshape(board.n_channels, board.n_taps)
+    _check_widths(widths, board.clock_period, body_end)
+    return board, words, widths
 
 
 def _check_words(words: np.ndarray, n_channels: int, n_taps: int) -> None:
@@ -330,11 +314,22 @@ def _check_words(words: np.ndarray, n_channels: int, n_taps: int) -> None:
     )
 
 
-def _check_widths(widths: np.ndarray, offset: int) -> None:
-    """FileFormatError at the first negative or non-finite width of a block at ``offset``."""
+def _check_widths(widths: np.ndarray, clock_period: float, offset: int) -> None:
+    """FileFormatError at the first negative or non-finite width of an
+    (n_channels, n_taps) block at ``offset``, else at the first row that
+    does not sum to ``clock_period`` within 1e-6 of it."""
     bad = np.flatnonzero(~np.isfinite(widths) | (widths < 0))
     if bad.size:
         raise FileFormatError(
-            f"calibration width {widths[bad[0]]} is not a finite nonnegative number",
+            f"calibration width {widths.flat[bad[0]]} is not a finite nonnegative number",
             offset=offset + 8 * int(bad[0]),
+        )
+    with np.errstate(over="ignore"):  # a row of huge widths sums to inf: refused
+        sums = widths.sum(axis=1)
+    rows = np.flatnonzero(np.abs(sums - clock_period) > 1e-6 * clock_period)
+    if rows.size:
+        raise FileFormatError(
+            f"calibration widths of channel {rows[0]} sum to {sums[rows[0]]:.6f} ps, "
+            f"not the {clock_period} ps clock period",
+            offset=offset + 8 * widths.shape[1] * int(rows[0]),
         )

@@ -183,13 +183,8 @@ def analyze_files(
     its own artifacts. ``pairs_out`` names a CSV to receive the matched
     pair dump (window, pulse index, detector, residual) for debugging.
     """
-    header, words, width_block = readout.read_timetag_file(timetag_path)
+    tdc_cfg, words, width_block = readout.read_timetag_file(timetag_path)
     codes, meta = read_alice_sidecar(sidecar_path)
-    tdc_cfg = TdcConfig(
-        clock_period=header.clock_period,
-        n_taps=header.n_taps,
-        n_channels=header.n_channels,
-    )
     channel, coarse, fine, roll = readout.unpack_words(words)
     sync_times = np.empty(0)
     data_times, data_dets = [np.empty(0)], [np.empty(0, dtype=np.uint8)]

@@ -6,6 +6,7 @@ import math
 import re
 import struct
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -137,7 +138,8 @@ def small_run(tmp_path_factory):
 HEADER_FLOATS = {
     "pulse_period": ("alice.qac", 8, "pulse period", (0.0,)),
     "sync_period": ("alice.qac", 16, "sync period", (0.0,)),
-    "offset_bound": ("alice.qac", 24, "offset bound", ()),
+    "offset_bound": ("alice.qac", 24, "offset bound", (1_000_000.0,)),  # half the sync period
+    "disclose_fraction": ("alice.qac", 32, "disclose fraction", (0.0, 1.5)),
     "f_ec": ("alice.qac", 40, "f_ec", (0.5,)),
     "clock_period": ("session.qtt", 8, "clock period", (0.0,)),
 }
@@ -617,9 +619,9 @@ class TestCliRunAnalyze:
         # channel 4 is the sync channel, 0..3 the data channels
         out = tmp_path / "out"
         assert main(["run", "--config", str(small_config), "--output", str(out)]) == 0
-        header, _, _ = read_timetag_file(out / "session.qtt")
+        board, words, _ = read_timetag_file(out / "session.qtt")
         raw = bytearray((out / "session.qtt").read_bytes())
-        at = header.calibration_offset + 8 * (channel * header.n_taps + 7)
+        at = 64 + 8 * words.size + 8 * (channel * board.n_taps + 7)
         raw[at : at + 8] = struct.pack("<d", value)
         bad = tmp_path / "bad.qtt"
         bad.write_bytes(bytes(raw))
@@ -645,6 +647,51 @@ class TestCliRunAnalyze:
         assert main(args + ["--output", str(tmp_path / "a")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
+        assert f"byte offset {at}" in err
+
+    @pytest.mark.parametrize(
+        "at,fmt,value",
+        [(8, "<d", 0.5), (16, "<H", 1), (16, "<H", 600), (18, "<H", 0), (18, "<H", 40)],
+    )
+    def test_bad_header_board_exit_2(self, small_run, tmp_path, capsys, at, fmt, value):
+        # clock period (a 0.5 ps clock's coarse range is under 1 s), taps, channels
+        raw = bytearray((small_run / "session.qtt").read_bytes())
+        struct.pack_into(fmt, raw, at, value)
+        bad = tmp_path / "bad.qtt"
+        bad.write_bytes(bytes(raw))
+        capsys.readouterr()
+        args = ["analyze", str(bad), str(small_run / "alice.qac")]
+        assert main(args + ["--output", str(tmp_path / "a")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"(byte offset {at})" in err
+        assert not (tmp_path / "a").exists()
+
+    @pytest.mark.parametrize(
+        "channel,scale",
+        [(0, None), (4, 1.01), (10, 0.0)],
+        ids=["clock_period_6000", "channel_4_scaled", "channel_10_zeroed"],
+    )
+    def test_calibration_row_off_the_period_exit_2(
+        self, small_run, tmp_path, capsys, channel, scale
+    ):
+        # a 16-channel copy of the run's file: channels 5..15 hold no records
+        board, words, widths = read_timetag_file(small_run / "session.qtt")
+        rows = np.resize(widths, (16, board.n_taps))
+        path = tmp_path / "wide.qtt"
+        write_timetag_file(path, replace(board, n_channels=16), words, rows)
+        raw = bytearray(path.read_bytes())
+        at = HEADER_SIZE + 8 * words.size + 8 * board.n_taps * channel
+        if scale is None:  # every row sums to 6250 ps, so channel 0's is refused
+            struct.pack_into("<d", raw, 8, 6000.0)
+        else:
+            raw[at : at + 8 * board.n_taps] = (rows[channel] * scale).tobytes()
+        path.write_bytes(bytes(raw))
+        capsys.readouterr()
+        args = ["analyze", str(path), str(small_run / "alice.qac")]
+        assert main(args + ["--output", str(tmp_path / "a")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: calibration width") and f"(byte offset {at})" in err
+        assert not (tmp_path / "a").exists()
 
     @pytest.mark.parametrize("byte", [4, 255])
     def test_code_byte_above_3_exit_2(self, small_run, tmp_path, capsys, byte):
@@ -703,16 +750,16 @@ class TestCliRunAnalyze:
         self, small_run, tmp_path, coarse, rollover, code
     ):
         # an extra channel 5, beyond the sync channel: reconstructed, never matched
-        header, words, widths = read_timetag_file(small_run / "session.qtt")
+        board, words, widths = read_timetag_file(small_run / "session.qtt")
         extra = pack_words(
             np.full(3, 5), np.array(coarse), np.zeros(3, int), np.array(rollover)
         )
-        cfg = TdcConfig(
-            clock_period=header.clock_period, n_taps=header.n_taps, n_channels=6
-        )
         path = tmp_path / "extra.qtt"
         write_timetag_file(
-            path, cfg, np.concatenate((words, extra)), np.vstack((widths, widths[:1]))
+            path,
+            replace(board, n_channels=6),
+            np.concatenate((words, extra)),
+            np.vstack((widths, widths[:1])),
         )
         args = ["analyze", str(path), str(small_run / "alice.qac")]
         assert main(args + ["--output", str(tmp_path / "a")]) == code

@@ -303,13 +303,13 @@ class TestSidecar:
             pulse_period=st.floats(0.0, 1e300, exclude_min=True, allow_infinity=False),
             sync_period=st.floats(0.0, 1e300, exclude_min=True, allow_infinity=False),
             offset_bound=st.floats(0.0, 1e300, allow_infinity=False),
-            disclose_fraction=st.floats(0.0, 1.0),
+            disclose_fraction=st.floats(0.0, 1.0, exclude_min=True),
             f_ec=st.floats(1.0, 1e300, allow_infinity=False),
             root_seed=st.integers(0, 2**64 - 1),
             windows=st.lists(
                 st.floats(0.0, 1e300, exclude_min=True, allow_infinity=False), max_size=30
             ).map(tuple),
-        ),
+        ).filter(lambda m: 2 * m.offset_bound < m.sync_period),
     )
     def test_write_then_read_roundtrip(self, tmp_path, codes, meta):
         alice = codes

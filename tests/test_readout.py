@@ -315,7 +315,8 @@ def _word_fault(word, cfg):
 
 @st.composite
 def timetag_contents(draw):
-    """A board config, words it can hold and a width block."""
+    """A board config, words it can hold and a width block whose rows
+    sum to the clock period."""
     cfg = TdcConfig(
         clock_period=draw(st.floats(1.0, 1e9, allow_nan=False)),
         n_taps=draw(st.integers(2, (1 << FINE_BITS) - 1)),
@@ -326,9 +327,10 @@ def timetag_contents(draw):
     widths = draw(arrays(
         np.float64,
         (cfg.n_channels, cfg.n_taps),
-        elements=st.just(-0.0) | st.floats(0.0, 1e300, allow_infinity=False),
+        elements=st.just(-0.0) | st.floats(0.0, 1e6),
     ))
-    return cfg, words, widths
+    widths[:, -1] += 1.0  # every row's sum is positive
+    return cfg, words, widths * (cfg.clock_period / widths.sum(axis=1))[:, None]
 
 
 class TestTimeTagFile:
@@ -343,13 +345,9 @@ class TestTimeTagFile:
         cfg, words, widths = contents
         path = tmp_path / "prop.qtt"
         write_timetag_file(path, cfg, words, widths)
-        header, back, back_widths = read_timetag_file(path)
-        assert (header.clock_period, header.n_taps, header.n_channels) == (
-            cfg.clock_period, cfg.n_taps, cfg.n_channels
-        )
-        assert header.n_records == words.size
+        board, back, back_widths = read_timetag_file(path)
+        assert board == cfg and back.size == words.size
         assert back.dtype == np.dtype("<u8") and back.tobytes() == words.tobytes()
-        assert header.calibration_offset == 64 + 8 * words.size
         assert back_widths.tobytes() == widths.tobytes()
 
     @settings(
@@ -359,8 +357,10 @@ class TestTimeTagFile:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(
+        # arbitrary widths, or rows that sum to the default 6250 ps clock period
         widths=st.tuples(st.integers(1, 3), st.integers(2, 6)).flatmap(
             lambda s: arrays(np.float64, s, elements=st.floats() | st.floats(0.0, 100.0))
+            | st.just(np.full(s, 6250.0 / s[1]))
         ),
         # any 64-bit word: channels up to 3 and fine codes up to 7 against
         # a header of 1..3 channels and 2..6 taps, some reserved bits set
@@ -374,10 +374,10 @@ class TestTimeTagFile:
     )
     # on each edge of the word check: channel 2 of 2, fine code 5 of 4
     # taps, and a word the header can hold with every field at its top
-    @example(widths=np.full((2, 4), 10.0), words=np.array([2 << 49], dtype=np.uint64))
-    @example(widths=np.full((2, 4), 10.0), words=np.array([0, 5], dtype=np.uint64))
+    @example(widths=np.full((2, 4), 1562.5), words=np.array([2 << 49], dtype=np.uint64))
+    @example(widths=np.full((2, 4), 1562.5), words=np.array([0, 5], dtype=np.uint64))
     @example(
-        widths=np.full((2, 4), 10.0),
+        widths=np.full((2, 4), 1562.5),
         words=np.array([pack(TdcRecord(1, 2**40 - 1, 4), True)], dtype=np.uint64),
     )
     def test_writer_refuses_what_reader_refuses(self, tmp_path, widths, words):
@@ -387,7 +387,7 @@ class TestTimeTagFile:
         valid = tmp_path / "valid.qtt"
         valid.unlink(missing_ok=True)  # tmp_path outlives one example
         zeros = np.zeros(words.size, dtype=np.uint64)
-        write_timetag_file(valid, cfg, zeros, np.zeros(widths.shape))
+        write_timetag_file(valid, cfg, zeros, uniform_widths(cfg))
         raw = valid.read_bytes()[:64] + words.tobytes() + widths.astype("<f8").tobytes()
         patched = tmp_path / "patched.qtt"
         patched.write_bytes(raw)
@@ -420,10 +420,9 @@ class TestTimeTagFile:
         path = tmp_path / "empty.qtt"
         write_timetag_file(path, cfg, np.empty(0, dtype=np.uint64), uniform_widths(cfg))
         assert path.stat().st_size == 64 + 8 * cfg.n_channels * cfg.n_taps
-        header, words, widths = read_timetag_file(path)
-        assert header.n_records == 0 and words.size == 0
+        board, words, widths = read_timetag_file(path)
+        assert board == cfg and words.size == 0
         np.testing.assert_array_equal(widths, uniform_widths(cfg))
-        assert header.clock_period == cfg.clock_period
 
     def test_word_roundtrip_byte_identical(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -437,7 +436,7 @@ class TestTimeTagFile:
         cfg = TdcConfig(n_taps=511)  # a header that holds every fine code
         p1, p2 = tmp_path / "a.qtt", tmp_path / "b.qtt"
         write_timetag_file(p1, cfg, words, uniform_widths(cfg))
-        header, back, widths = read_timetag_file(p1)
+        _, back, widths = read_timetag_file(p1)
         assert np.array_equal(words, back)
         write_timetag_file(p2, cfg, back, widths)
         assert p1.read_bytes() == p2.read_bytes()
@@ -445,10 +444,11 @@ class TestTimeTagFile:
     def test_calibration_block_roundtrip(self, tmp_path):
         cfg = TdcConfig(n_channels=3)
         widths = np.random.default_rng(6).random((3, cfg.n_taps)) + 20.0
+        widths *= (cfg.clock_period / widths.sum(axis=1))[:, None]
         path = tmp_path / "cal.qtt"
         write_timetag_file(path, cfg, np.empty(0, dtype=np.uint64), widths)
-        header, _, back = read_timetag_file(path)
-        assert header.calibration_offset == 64
+        board, words, back = read_timetag_file(path)
+        assert board == cfg and words.size == 0
         np.testing.assert_array_equal(widths, back)
 
     def test_corrupt_magic_names_offset_zero(self, tmp_path):
